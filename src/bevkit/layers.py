@@ -78,6 +78,17 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     return nm.reshape(out, (oh, ow, p.lin.out_dim))
 
 
+@dataclass(frozen=True)
+class ConvBlockParams:
+    conv1: Conv2dParams
+    conv2: Conv2dParams
+
+
+def conv_block(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams) -> Tensor:
+    """conv2d -> relu -> conv2d."""
+    return conv2d(nm.relu(conv2d(x, conv1)), conv2)
+
+
 def upsample_shuffle(x: Tensor, lin: LinearParams, factor: int) -> Tensor:
     """Learned upsampling: per-pixel affine to factor^2 sub-pixels, then shuffle.
 

@@ -18,9 +18,11 @@ import numpy as np
 from . import numerics as nm
 from .geometry import BEVConfig, bev_index
 from .numerics import NumericError, Tensor
-from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
+from .predictor import CandidateSet, HeadOutput, _sigmoid_np, encode_box_for_cell
 
 PROB_FLOOR = 1e-7
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,9 @@ def _pow(x: Tensor, exponent: float) -> Tensor:
     return nm.exp(nm.mul(nm.log(x), exponent))
 
 
-def focal_loss(probs: Tensor, targets, alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
+def focal_loss(
+    probs: Tensor, targets, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
+) -> Tensor:
     """Binary focal loss, mean over all elements.
 
     targets is a {0,1} array of the same shape. Probabilities are clamped
@@ -221,17 +225,8 @@ def l1_box_loss(pred: Tensor, gt) -> Tensor:
     return nm.mean(_abs(nm.sub(pred, Tensor(target))))
 
 
-def _sigmoid_np(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def match_against_gt(
-    output: HeadOutput,
-    cands: CandidateSet,
-    gt_boxes,
-    bev_cfg: BEVConfig,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
+    output: HeadOutput, cands: CandidateSet, gt_boxes, bev_cfg: BEVConfig
 ) -> MatchResult:
     """Hungarian assignment of predictions to ground truth.
 
@@ -246,7 +241,7 @@ def match_against_gt(
     encodings = np.zeros((k, g, output.boxes.shape[1]))
     for gi, gt in enumerate(gt_boxes):
         p = probs[:, gt.class_id]
-        cls_cost = -alpha * (1.0 - p) ** gamma * np.log(p)
+        cls_cost = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)
         for ki in range(k):
             encodings[ki, gi] = encode_box_for_cell(gt, cands.cells[ki], bev_cfg)
         box_cost = np.abs(output.boxes.data - encodings[:, gi]).mean(axis=1)
@@ -260,8 +255,6 @@ def head_set_loss(
     gt_boxes,
     bev_cfg: BEVConfig,
     weights: LossWeights,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
 ):
     """Matched class + box loss for one head pair (used for main and aux).
 
@@ -270,14 +263,14 @@ def head_set_loss(
     averages over matched pairs only.
     Returns (loss tensor, match result).
     """
-    match = match_against_gt(output, cands, gt_boxes, bev_cfg, alpha, gamma)
+    match = match_against_gt(output, cands, gt_boxes, bev_cfg)
     k, n_cls = output.class_logits.shape
     if k == 0:
         return Tensor(0.0), match
     targets = np.zeros((k, n_cls))
     for ki, gi in match.pairs:
         targets[ki, gt_boxes[gi].class_id] = 1.0
-    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets, alpha, gamma)
+    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets)
     if match.pairs:
         pred_rows = nm.gather_rows(output.boxes, np.array([p for p, _ in match.pairs]))
         gt_rows = np.stack(
@@ -367,9 +360,9 @@ def total_loss(
         parts["main"] = main_loss.item()
         pieces.append(nm.mul(main_loss, weights.lam_box))
     if aux is not None:
-        aux_loss_t, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
-        parts["aux"] = aux_loss_t.item()
-        pieces.append(aux_loss_t)
+        aux_term, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
+        parts["aux"] = aux_term.item()
+        pieces.append(aux_term)
     if depth is not None and weights.lam_depth > 0:
         parts["depth"] = depth.item()
         pieces.append(nm.mul(depth, weights.lam_depth))
@@ -383,8 +376,3 @@ def total_loss(
     parts["total"] = total.item()
     return total, parts
 
-
-def aux_loss(aux: HeadOutput, cands: CandidateSet, gt_boxes, bev_cfg: BEVConfig, weights: LossWeights) -> Tensor:
-    """Auxiliary supervision: matched class/box loss on the auxiliary heads."""
-    loss, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
-    return loss

@@ -461,10 +461,7 @@ _TENSOR_MAGIC = b"BKT1"
 
 def save_tensor(path, t: Tensor) -> None:
     with open(path, "wb") as fh:
-        fh.write(_TENSOR_MAGIC)
-        fh.write(struct.pack("<I", t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(t.data.astype("<f8").tobytes())
+        fh.write(tensor_to_bytes(t))
 
 
 def load_tensor(path) -> Tensor:
@@ -485,6 +482,8 @@ def tensor_to_bytes(t: Tensor) -> bytes:
 def tensor_from_bytes(blob: bytes, origin: str = "<bytes>") -> Tensor:
     if blob[:4] != _TENSOR_MAGIC:
         raise ValueError(f"{origin}: bad tensor magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise ValueError(f"{origin}: truncated tensor header")
     (rank,) = struct.unpack_from("<I", blob, 4)
     header = 8 + 8 * rank
     if len(blob) < header:

@@ -20,9 +20,10 @@ from .geometry import BEVConfig
 from .layers import (
     AttentionParams,
     Conv2dParams,
+    ConvBlockParams,
     FfnParams,
     attention,
-    conv2d,
+    conv_block,
     ffn,
     sinusoidal_encoding,
 )
@@ -51,15 +52,12 @@ class CandidateSet:
         return self.cells[:, 0] * grid_n + self.cells[:, 1]
 
 
-@dataclass(frozen=True)
-class HeatmapParams:
-    conv1: Conv2dParams
-    conv2: Conv2dParams  # out channels = class count
+HeatmapParams = ConvBlockParams  # conv2 out channels = class count
 
 
 def heatmap_head(b_f: Tensor, params: HeatmapParams) -> Tensor:
     """Per-cell, per-class scores in (0, 1): conv, relu, conv, sigmoid."""
-    return nm.sigmoid(conv2d(nm.relu(conv2d(b_f, params.conv1)), params.conv2))
+    return nm.sigmoid(conv_block(b_f, params.conv1, params.conv2))
 
 
 def select_candidates(heatmap, k: int) -> CandidateSet:
@@ -143,8 +141,8 @@ def task_specific_features(
     """
     if b_c.shape[:2] != b_l.shape[:2]:
         raise DimensionError("task features: camera and LiDAR BEV shapes differ")
-    enc_c = conv2d(nm.relu(conv2d(b_c, params.cam_conv1)), params.cam_conv2)
-    enc_l = conv2d(nm.relu(conv2d(b_l, params.lidar_conv1)), params.lidar_conv2)
+    enc_c = conv_block(b_c, params.cam_conv1, params.cam_conv2)
+    enc_l = conv_block(b_l, params.lidar_conv1, params.lidar_conv2)
     X, Y, C = enc_c.shape
     flat = cands.flat_cells(Y)
     q_c = nm.gather_rows(nm.reshape(enc_c, (X * Y, C)), flat)
@@ -304,17 +302,7 @@ def subtask_heads(
     return _build_output(logits, boxes, cands, bev_cfg)
 
 
-def aux_heads(
-    f_c: Tensor, f_b: Tensor, params: HeadParams, cands: CandidateSet, bev_cfg: BEVConfig
-) -> HeadOutput:
-    """Training-only heads reading the task-specific features directly."""
-    return subtask_heads(f_c, f_b, params, cands, bev_cfg)
-
-
-@dataclass(frozen=True)
-class BevFuserParams:
-    conv1: Conv2dParams
-    conv2: Conv2dParams
+BevFuserParams = ConvBlockParams
 
 
 def fuse_bev(b_c: Tensor, b_l: Tensor, params: BevFuserParams) -> Tensor:
@@ -322,4 +310,4 @@ def fuse_bev(b_c: Tensor, b_l: Tensor, params: BevFuserParams) -> Tensor:
     if b_c.shape[:2] != b_l.shape[:2]:
         raise DimensionError("fuse_bev: spatial shapes differ")
     merged = nm.concat([b_c, b_l], axis=2)
-    return conv2d(nm.relu(conv2d(merged, params.conv1)), params.conv2)
+    return conv_block(merged, params.conv1, params.conv2)

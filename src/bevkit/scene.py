@@ -45,6 +45,8 @@ class ObjectBox:
         v = np.ascontiguousarray(np.asarray(self.velocity, dtype=np.float64))
         if c.shape != (3,) or s.shape != (3,) or v.shape != (2,):
             raise ValueError("box needs center[3], size[3], velocity[2]")
+        if not np.isfinite(np.concatenate((c, s, v, [self.yaw]))).all():
+            raise ValueError("box center, size, velocity and yaw must be finite")
         if np.any(s <= 0):
             raise ValueError("box sizes must be positive")
         if self.class_id < 0:
@@ -332,6 +334,8 @@ def load_point_cloud(path) -> PointCloud:
         blob = fh.read()
     if blob[:4] != _CLOUD_MAGIC:
         raise ValueError(f"{path}: bad point cloud magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated point cloud header")
     (count,) = struct.unpack_from("<Q", blob, 4)
     payload = blob[12:]
     if len(payload) != count * 5 * 4:
@@ -370,15 +374,20 @@ def load_scene(path) -> Scene:
             continue
         sec = parser[section]
         try:
-            boxes.append(
-                ObjectBox(
-                    center=np.array([float(v) for v in sec["center"].split()]),
-                    size=np.array([float(v) for v in sec["size"].split()]),
-                    yaw=float(sec["yaw"]),
-                    velocity=np.array([float(v) for v in sec["velocity"].split()]),
-                    class_id=int(sec["class_id"]),
-                )
+            box = ObjectBox(
+                center=np.array([float(v) for v in sec["center"].split()]),
+                size=np.array([float(v) for v in sec["size"].split()]),
+                yaw=float(sec["yaw"]),
+                velocity=np.array([float(v) for v in sec["velocity"].split()]),
+                class_id=int(sec["class_id"]),
             )
         except KeyError as err:
             raise ValueError(f"{path}: [{section}] missing key {err}") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: [{section}] {err}") from None
+        if box.class_id >= class_count:
+            raise ValueError(
+                f"{path}: [{section}] class_id {box.class_id} >= class_count {class_count}"
+            )
+        boxes.append(box)
     return Scene(boxes=tuple(boxes), seed=seed, class_count=class_count)

@@ -6,8 +6,8 @@ Two routes from image features to the BEV plane:
                 its context feature is scattered along the pixel ray, one
                 bin-center sample per bin, weighted by that distribution,
                 and summed per BEV cell. Supervising the distribution toward
-                one-hot (depth_loss) concentrates each pixel's mass near a
-                single cell.
+                one-hot (depth_loss_multi) concentrates each pixel's mass
+                near a single cell.
 
   point stream  LiDAR points are grouped into BEV-cell bins; each point
                 gathers the high-resolution pixel feature it projects onto
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from ._sabotage import FLAGS as _SABOTAGE
 from .geometry import (
     BEVConfig,
     CameraParams,
@@ -35,10 +34,9 @@ from .geometry import (
     project_points,
     unproject_points,
 )
-from .layers import Conv2dParams, LinearParams, conv2d, row_scale, upsample_shuffle
+from .layers import ConvBlockParams, LinearParams, conv_block, row_scale, upsample_shuffle
+from .losses import PROB_FLOOR
 from .numerics import DimensionError, Tensor
-
-PROB_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -53,36 +51,7 @@ class DepthGroundTruth:
     mask: np.ndarray
 
 
-@dataclass(frozen=True)
-class BinPartition:
-    """BEV cell -> indices of the LiDAR points whose (x, y) falls in it."""
-
-    cells: dict[tuple[int, int], np.ndarray]
-    num_points: int
-    in_range: np.ndarray  # bool per point
-
-
-def build_bin_partition(pc, bev_cfg: BEVConfig) -> BinPartition:
-    pts = pc.points
-    gx, gy, ok = bev_indices(pts[:, :2], bev_cfg)
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        flat = gx[idx] * bev_cfg.n + gy[idx]
-        order = np.argsort(flat, kind="stable")
-        idx = idx[order]
-        flat = flat[order]
-        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        ends = np.r_[starts[1:], len(flat)]
-        for s, e in zip(starts, ends):
-            cells[(int(flat[s]) // bev_cfg.n, int(flat[s]) % bev_cfg.n)] = idx[s:e]
-    return BinPartition(cells=cells, num_points=len(pts), in_range=ok)
-
-
-@dataclass(frozen=True)
-class CameraEncoderParams:
-    conv1: Conv2dParams  # stride s
-    conv2: Conv2dParams  # stride 1
+CameraEncoderParams = ConvBlockParams  # conv1 at stride s, conv2 at stride 1
 
 
 def camera_encode(image, params: CameraEncoderParams) -> Tensor:
@@ -93,7 +62,7 @@ def camera_encode(image, params: CameraEncoderParams) -> Tensor:
         raise DimensionError(
             f"camera_encode: {img.shape[:2]} not divisible by stride {s}"
         )
-    return conv2d(nm.relu(conv2d(img, params.conv1)), params.conv2)
+    return conv_block(img, params.conv1, params.conv2)
 
 
 def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int = 2) -> Tensor:
@@ -156,30 +125,20 @@ def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> D
     return DepthGroundTruth(onehot=onehot, mask=mask)
 
 
-def depth_loss(dist: Tensor, gt: DepthGroundTruth) -> Tensor:
-    """Bin-wise binary cross entropy, averaged over valid pixels only."""
-    hp, wp, d = dist.shape
-    if gt.onehot.shape != (hp, wp, d):
-        raise DimensionError(
-            f"depth_loss: distribution {dist.shape} vs target {gt.onehot.shape}"
-        )
-    return _masked_bce(
-        nm.reshape(dist, (hp * wp, d)), gt.onehot.reshape(hp * wp, d), gt.mask.reshape(hp * wp)
-    )
-
-
 def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor:
-    """Depth loss pooled over cameras, averaged over all valid pixels."""
+    """Bin-wise binary cross entropy pooled over cameras, averaged over valid pixels."""
+    for dist, gt in zip(dists, gts, strict=True):
+        if gt.onehot.shape != dist.shape or gt.mask.shape != dist.shape[:2]:
+            raise DimensionError(
+                f"depth_loss_multi: distribution {dist.shape} vs target {gt.onehot.shape}"
+                f" with mask {gt.mask.shape}"
+            )
     rows = nm.concat(
         [nm.reshape(d, (d.shape[0] * d.shape[1], d.shape[2])) for d in dists], axis=0
     )
     target = np.concatenate([g.onehot.reshape(-1, g.onehot.shape[2]) for g in gts], axis=0)
     mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)
-    return _masked_bce(rows, target, mask)
-
-
-def _masked_bce(probs: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    p = nm.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    p = nm.clamp(rows, PROB_FLOOR, 1.0 - PROB_FLOOR)
     t = Tensor(target)
     pos = nm.mul(t, nm.log(p))
     neg = nm.mul(nm.sub(Tensor(np.ones_like(target)), t), nm.log(nm.sub(Tensor(np.ones_like(target)), p)))
@@ -212,6 +171,19 @@ def ray_stream(
     times its probability for that bin is added there. Out-of-range samples
     drop their mass.
     """
+    for ctx, dist, cam in zip(contexts, dists, cams, strict=True):
+        hp, wp, _ = ctx.shape
+        s = cam.width // wp
+        if dist.shape != (hp, wp, bins.count):
+            raise DimensionError(
+                f"ray_stream: camera {cam.name}: context {ctx.shape} vs distribution "
+                f"{dist.shape} over {bins.count} bins"
+            )
+        if s < 1 or (cam.height, cam.width) != (hp * s, wp * s):
+            raise DimensionError(
+                f"ray_stream: camera {cam.name}: image {cam.height}x{cam.width} is no "
+                f"integer multiple of feature {hp}x{wp}"
+            )
     n = bev_cfg.n
     c_t = contexts[0].shape[2]
     total = None
@@ -235,12 +207,7 @@ def ray_stream(
         keep = np.flatnonzero(ok)
         contrib = nm.scatter_add(nm.gather_rows(weighted, keep), cell[keep], n * n)
         total = contrib if total is None else nm.add(total, contrib)
-    out = nm.reshape(total, (n, n, c_t))
-    if "ray-scatter" in _SABOTAGE:
-        bump = np.zeros((n, n, c_t))
-        bump[0, 0, 0] = 1e-3
-        out = nm.add(out, Tensor(bump))
-    return out
+    return nm.reshape(total, (n, n, c_t))
 
 
 def point_stream(
@@ -296,10 +263,7 @@ def point_stream(
     return nm.reshape(meaned, (n, n, c))
 
 
-@dataclass(frozen=True)
-class BevFuseParams:
-    conv1: Conv2dParams
-    conv2: Conv2dParams
+BevFuseParams = ConvBlockParams
 
 
 def fuse_camera_bev(ray_bev: Tensor, point_bev: Tensor, params: BevFuseParams) -> Tensor:
@@ -309,4 +273,4 @@ def fuse_camera_bev(ray_bev: Tensor, point_bev: Tensor, params: BevFuseParams) -
             f"fuse_camera_bev: spatial shapes differ {ray_bev.shape} vs {point_bev.shape}"
         )
     merged = nm.concat([ray_bev, point_bev], axis=2)
-    return conv2d(nm.relu(conv2d(merged, params.conv1)), params.conv2)
+    return conv_block(merged, params.conv1, params.conv2)

@@ -242,6 +242,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="payload"):
             nm.load_tensor(path)
 
+    @pytest.mark.parametrize("blob", [b"BKT1\x00", b"BKT1\x02\x00\x00\x00" + b"\x00" * 8])
+    def test_truncated_header(self, blob):
+        with pytest.raises(ValueError, match="<bytes>: truncated tensor header"):
+            nm.tensor_from_bytes(blob)
+
 
 class TestScatterGather:
     def test_scatter_add_accumulates_deterministically(self):

@@ -1,0 +1,46 @@
+"""Packaging checks: declared entry points resolve, and the oracles stay independent."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import bevkit
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_every_declared_script_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module_name, _, attr_path = target.partition(":")
+        obj = importlib.import_module(module_name)
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), f"script {name!r}: {target} is not callable"
+
+
+def _bevkit_modules_imported(tree):
+    """Names of the bevkit modules an AST imports, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif node.module and node.module.split(".")[0] == "bevkit":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            yield from parts[:1] or [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "bevkit":
+                    yield parts[1] if len(parts) > 1 else "bevkit"
+
+
+def test_oracles_import_only_geometry_from_bevkit():
+    tree = ast.parse((Path(bevkit.__file__).parent / "oracles.py").read_text())
+    assert set(_bevkit_modules_imported(tree)) == {"geometry"}

@@ -398,15 +398,6 @@ class TestHeadsAndDecode:
         np.testing.assert_allclose(out.class_logits.data, ffn_np(q_cls, p.classifier), atol=1e-12)
         np.testing.assert_allclose(out.boxes.data, ffn_np(q_box, p.box), atol=1e-12)
 
-    def test_aux_heads_same_contract(self):
-        rng = np.random.default_rng(15)
-        cands = make_cands([[5, 5]], [2], [0.6])
-        out = pr.aux_heads(
-            Tensor(rng.normal(size=(1, 6))), Tensor(rng.normal(size=(1, 6))),
-            self.heads(rng), cands, BEV16,
-        )
-        assert len(out.detections) == 1
-
 
 class TestBoxCodec:
     def test_roundtrip_through_encoding(self):

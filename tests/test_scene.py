@@ -198,6 +198,12 @@ class TestPointCloudIO:
         with pytest.raises(ValueError, match="magic"):
             sc.load_point_cloud(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "short.bkp"
+        p.write_bytes(b"BKP1\x00\x00")
+        with pytest.raises(ValueError, match="short.bkp: truncated point cloud header"):
+            sc.load_point_cloud(p)
+
 
 def test_scene_file_roundtrip(tmp_path):
     scene = sc.generate_scene(4, DESK, class_count=6, seed=13)
@@ -210,3 +216,43 @@ def test_scene_file_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.center, b.center)
         np.testing.assert_array_equal(a.size, b.size)
         assert a.yaw == b.yaw and a.class_id == b.class_id
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("center", (np.nan, 0.0, 0.5)),
+            ("size", (1.0, np.inf, 1.0)),
+            ("vel", (0.0, -np.inf)),
+            ("yaw", np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"center": (0.0, 0.0, 0.5), field: value}
+        with pytest.raises(ValueError, match="finite"):
+            box(**kwargs)
+
+    def scene_text(self, tmp_path, **edits):
+        path = tmp_path / "scene.txt"
+        sc.save_scene(path, Scene(boxes=(box((1.0, 2.0, 0.5), cls=3),), seed=0, class_count=10))
+        text = path.read_text()
+        for key, value in edits.items():
+            line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+            text = text.replace(line, f"{key} = {value}")
+        path.write_text(text)
+        return path
+
+    def test_class_id_at_class_count_rejected(self, tmp_path):
+        path = self.scene_text(tmp_path, class_id=12)
+        with pytest.raises(ValueError, match=r"\[box 0\] class_id 12 >= class_count 10"):
+            sc.load_scene(path)
+
+    def test_nan_center_in_file_names_section(self, tmp_path):
+        path = self.scene_text(tmp_path, center="nan 2.0 0.5")
+        with pytest.raises(ValueError, match=r"\[box 0\] .*finite"):
+            sc.load_scene(path)
+
+    def test_valid_file_still_loads(self, tmp_path):
+        back = sc.load_scene(self.scene_text(tmp_path, class_id=9))
+        assert back.boxes[0].class_id == 9

@@ -158,7 +158,7 @@ class TestDepthLoss:
         onehot = np.zeros((2, 2, 4))
         onehot[..., 1] = 1.0
         gt = vt.DepthGroundTruth(onehot=onehot, mask=np.ones((2, 2)))
-        loss = vt.depth_loss(Tensor(onehot), gt)
+        loss = vt.depth_loss_multi([Tensor(onehot)], [gt])
         assert loss.item() <= 4 * 1e-6
 
     def test_uniform_two_bin_value(self):
@@ -167,14 +167,14 @@ class TestDepthLoss:
         onehot[0, 0, 0] = 1.0
         gt = vt.DepthGroundTruth(onehot=onehot, mask=np.ones((1, 1)))
         dist = Tensor(np.full((1, 1, 2), 0.5))
-        loss = vt.depth_loss(dist, gt)
+        loss = vt.depth_loss_multi([dist], [gt])
         assert abs(loss.item() - 2 * math.log(2)) < 1e-9
 
     def test_all_invalid_gives_zero(self):
         gt = vt.DepthGroundTruth(onehot=np.zeros((2, 2, 4)), mask=np.zeros((2, 2)))
         rng = np.random.default_rng(8)
         dist = nm.softmax(Tensor(rng.normal(size=(2, 2, 4))), axis=2)
-        assert vt.depth_loss(dist, gt).item() == 0.0
+        assert vt.depth_loss_multi([dist], [gt]).item() == 0.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -185,10 +185,30 @@ class TestDepthLoss:
         gt = vt.DepthGroundTruth(onehot=onehot, mask=np.array([[1.0, 0.0], [1.0, 1.0]]))
 
         def f(logits):
-            return vt.depth_loss(nm.softmax(nm.reshape(logits, (2, 2, 4)), axis=2), gt)
+            return vt.depth_loss_multi([nm.softmax(nm.reshape(logits, (2, 2, 4)), axis=2)], [gt])
 
         err = nm.finite_diff_check(f, Tensor(rng.normal(size=16)))
         assert err < 1e-4
+
+    def test_two_cameras_pool_by_valid_pixel_count(self):
+        rng = np.random.default_rng(12)
+        masks = [np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])]
+        dists, gts = [], []
+        for mask in masks:
+            onehot = np.zeros(mask.shape + (4,))
+            onehot[..., 2] = 1.0
+            dists.append(nm.softmax(Tensor(rng.normal(size=onehot.shape)), axis=2))
+            gts.append(vt.DepthGroundTruth(onehot=onehot, mask=mask))
+        singles = [vt.depth_loss_multi([d], [g]).item() for d, g in zip(dists, gts)]
+        pooled = vt.depth_loss_multi(dists, gts).item()
+        assert abs(pooled - (3 * singles[0] + 2 * singles[1]) / 5) < 1e-12
+
+    @pytest.mark.parametrize("dist_hw, mask_hw", [((3, 3), (2, 2)), ((2, 2), (3, 3))])
+    def test_shape_mismatch_rejected(self, dist_hw, mask_hw):
+        gt = vt.DepthGroundTruth(onehot=np.zeros((2, 2, 4)), mask=np.ones(mask_hw))
+        dist = Tensor(np.full(dist_hw + (4,), 0.25))
+        with pytest.raises(nm.DimensionError, match="distribution .* vs target .* mask"):
+            vt.depth_loss_multi([dist], [gt])
 
 
 def ray_inputs(rng, n_cams=2, hp=8, wp=8, d=4, ct=3, width=16, height=16):
@@ -253,6 +273,26 @@ class TestRayStream:
         scaled_dist = vt.ray_stream([Tensor(ctxs[0])], [Tensor(0.5 * dists[0])], cams, BINS8, BEV16)
         np.testing.assert_allclose(scaled_dist.data, 0.5 * base.data, atol=1e-12)
 
+    def test_height_not_matching_width_stride_rejected(self):
+        # 16x16 camera over 4x8 features: the width alone gives stride 2
+        rng = np.random.default_rng(14)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=1, hp=4, wp=8)
+        with pytest.raises(nm.DimensionError, match="c0.*16x16.*4x8"):
+            vt.ray_stream([Tensor(ctxs[0])], [Tensor(dists[0])], cams, BINS8, BEV16)
+
+    def test_bin_count_mismatch_rejected(self):
+        rng = np.random.default_rng(15)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=1, d=5)
+        with pytest.raises(nm.DimensionError, match=r"c0.*\(8, 8, 5\) over 4 bins"):
+            vt.ray_stream([Tensor(ctxs[0])], [Tensor(dists[0])], cams, BINS8, BEV16)
+
+    def test_context_distribution_grid_mismatch_rejected(self):
+        rng = np.random.default_rng(16)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=1)
+        shapes = r"c0: context \(8, 8, 3\) vs distribution \(8, 4, 4\)"
+        with pytest.raises(nm.DimensionError, match=shapes):
+            vt.ray_stream([Tensor(ctxs[0])], [Tensor(dists[0][:, :4])], cams, BINS8, BEV16)
+
 
 class TestPointStream:
     def scene_inputs(self, rng, n_pts=60, n_cams=2, chr_=3):
@@ -301,19 +341,6 @@ class TestPointStream:
         pc = sc.PointCloud(np.array([[0.0, 0.0, -3.0, 1.0, 0.0]]))  # behind camera
         out = vt.point_stream(pc, [Tensor(np.ones((16, 16, 2)))], [cam], BEV16)
         assert np.all(out.data == 0.0)
-
-    def test_partition_each_point_one_cell(self):
-        rng = np.random.default_rng(13)
-        pc, cams, feats = self.scene_inputs(rng)
-        part = vt.build_bin_partition(pc, BEV16)
-        seen = np.zeros(len(pc), dtype=int)
-        for cell, idx in part.cells.items():
-            assert 0 <= cell[0] < 16 and 0 <= cell[1] < 16
-            seen[idx] += 1
-            for i in idx:
-                assert geo.bev_index(pc.points[i, 0], pc.points[i, 1], BEV16) == cell
-        assert np.all(seen[part.in_range] == 1)
-        assert np.all(seen[~part.in_range] == 0)
 
 
 class TestFuseCameraBev:
