@@ -1,9 +1,9 @@
 """Composed blocks built from the numerics primitives.
 
-Convolution is expressed as pad (scatter into a larger zero grid), im2col
-(row gather with precomputed patch indices), and one affine map. That keeps
-every learned block on the same tape as the rest of the model and makes the
-loop-oracle tests in the suite straightforward.
+conv2d is one tape op: im2col over a strided window view of the zero-padded
+input, one affine map, and a VJP that adds the patch gradients back with
+k*k strided slice adds (col2im). Every other block is a composition of
+numerics ops, so all of them share one tape with the rest of the model.
 """
 
 from __future__ import annotations
@@ -11,33 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .numerics import DimensionError, LinearParams, Tensor
-
-_index_cache: dict[tuple, tuple] = {}
-
-
-def _conv_indices(h, w, k, stride, pad):
-    """(pad scatter index, padded row count, patch gather index, out h, out w)."""
-    key = (h, w, k, stride, pad)
-    hit = _index_cache.get(key)
-    if hit is not None:
-        return hit
-    hp, wp = h + 2 * pad, w + 2 * pad
-    rows = np.arange(h)[:, None] + pad
-    cols = np.arange(w)[None, :] + pad
-    pad_idx = (rows * wp + cols).ravel()
-    oh = (hp - k) // stride + 1
-    ow = (wp - k) // stride + 1
-    oy = (np.arange(oh) * stride)[:, None, None, None]
-    ox = (np.arange(ow) * stride)[None, :, None, None]
-    ky = np.arange(k)[None, None, :, None]
-    kx = np.arange(k)[None, None, None, :]
-    gather_idx = ((oy + ky) * wp + (ox + kx)).ravel()
-    out = (pad_idx, hp * wp, gather_idx, oh, ow)
-    _index_cache[key] = out
-    return out
 
 
 @dataclass(frozen=True)
@@ -65,17 +42,30 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
             f"conv2d: input {x.shape} does not match {p.in_channels} channels"
         )
     h, w, c = x.shape
-    pad_idx, padded_rows, gather_idx, oh, ow = _conv_indices(
-        h, w, p.kernel, p.stride, p.pad
-    )
+    k, s, pad = p.kernel, p.stride, p.pad
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
     if oh < 1 or ow < 1:
-        raise DimensionError(f"conv2d: kernel {p.kernel} larger than padded input")
-    rows = nm.reshape(x, (h * w, c))
-    padded = nm.scatter_add(rows, pad_idx, padded_rows)
-    patches = nm.gather_rows(padded, gather_idx)
-    patches = nm.reshape(patches, (oh * ow, p.kernel * p.kernel * c))
-    out = nm.linear(patches, p.lin)
-    return nm.reshape(out, (oh, ow, p.lin.out_dim))
+        raise DimensionError(f"conv2d: kernel {k} larger than padded input")
+    padded = np.zeros((hp, wp, c))
+    padded[pad : pad + h, pad : pad + w] = x.data
+    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::s, ::s]
+    patches = windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, k * k * c)  # (ky, kx, c)
+    W, b = p.lin.weight.data, p.lin.bias.data
+
+    def vjp(g):
+        g2 = g.reshape(oh * ow, -1)
+        cols = (g2 @ W).reshape(oh, ow, k, k, c)
+        grad = np.zeros((hp, wp, c))
+        # A padded pixel's terms arrive in (oy, ox) order, i.e. ky and kx
+        # descending: the summation order of a sequential patch scatter.
+        for ky in reversed(range(k)):
+            for kx in reversed(range(k)):
+                grad[ky : ky + s * oh : s, kx : kx + s * ow : s] += cols[:, :, ky, kx]
+        return (grad[pad : pad + h, pad : pad + w], g2.T @ patches, g2.sum(axis=0))
+
+    out = (patches @ W.T + b).reshape(oh, ow, -1)
+    return nm._emit("conv2d", (x, p.lin.weight, p.lin.bias), out, (patches,), vjp)
 
 
 @dataclass(frozen=True)

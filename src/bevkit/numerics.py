@@ -10,6 +10,7 @@ the tape-free inference path.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -308,28 +309,32 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError("gather_rows: index out of range")
     rows = x.shape[0]
+    return _emit(
+        "gather_rows", (x,), x.data[idx], (idx,), lambda g: (_segment_sum(g, idx, rows),)
+    )
 
-    def vjp(g):
-        z = np.zeros((rows,) + g.shape[1:])
-        np.add.at(z, idx, g)
-        return (z,)
 
-    return _emit("gather_rows", (x,), x.data[idx], (idx,), vjp)
+def _segment_sum(vals: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """out[r] = sum of vals[i] over i with idx[i] == r, as float64 [rows, ...]."""
+    width = math.prod(vals.shape[1:])
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=vals.ravel(), minlength=rows * width)
+    return out.astype(np.float64, copy=False).reshape((rows,) + vals.shape[1:])
 
 
 def scatter_add(values: Tensor, idx, num_rows: int) -> Tensor:
     """Accumulate value rows into a fresh [num_rows, ...] array at idx.
 
-    np.add.at applies updates sequentially in index order, so repeated
-    targets accumulate deterministically.
+    Each output element starts at 0.0 and adds its terms one at a time in
+    ascending value-row order (np.bincount walks its input in order), so
+    repeated targets accumulate deterministically.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1 or idx.shape[0] != values.shape[0]:
         raise DimensionError("scatter_add: index must be 1-D, one entry per value row")
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise DimensionError("scatter_add: index out of range")
-    out = np.zeros((num_rows,) + values.shape[1:])
-    np.add.at(out, idx, values.data)
+    out = _segment_sum(values.data, idx, num_rows)
     return _emit("scatter_add", (values,), out, (idx, num_rows), lambda g: (g[idx],))
 
 
@@ -489,11 +494,13 @@ def tensor_from_bytes(blob: bytes, origin: str = "<bytes>") -> Tensor:
     if len(blob) < header:
         raise ValueError(f"{origin}: truncated tensor header")
     shape = struct.unpack_from(f"<{rank}Q", blob, 8)
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)
     payload = blob[header:]
     if len(payload) != 8 * count:
         raise ValueError(
             f"{origin}: payload holds {len(payload) // 8} values, shape needs {count}"
         )
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{origin}: payload holds NaN or Inf")
     return Tensor(arr)

@@ -115,8 +115,8 @@ def decode_general(b_f: Tensor, cands: CandidateSet, params: DecoderParams) -> T
     q = nm.gather_rows(rows, cands.flat_cells(Y))
     q = nm.add(q, nm.gather_rows(params.class_embed, cands.classes))
     q = nm.add(q, Tensor(sinusoidal_encoding(cands.cells[:, 0], cands.cells[:, 1], C)))
-    attended, _ = attention(q, rows, params.attn)
-    return nm.add(attended, ffn(attended, params.ffn))
+    decoded, _ = attention(q, rows, params.attn)
+    return nm.add(decoded, ffn(decoded, params.ffn))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ class Scene:
     seed: int
     class_count: int = 10
 
+    def __post_init__(self):
+        if self.class_count < 1:
+            raise ValueError(f"class_count must be >= 1, got {self.class_count}")
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -112,6 +116,8 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     """
     if num_boxes < 0:
         raise ValueError("num_boxes must be non-negative")
+    if class_count < 1:
+        raise ValueError(f"class_count must be >= 1, got {class_count}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     boxes: list[ObjectBox] = []
     attempts = 0
@@ -340,8 +346,10 @@ def load_point_cloud(path) -> PointCloud:
     payload = blob[12:]
     if len(payload) != count * 5 * 4:
         raise ValueError(f"{path}: expected {count} records, payload disagrees")
-    pts = np.frombuffer(payload, dtype="<f4").reshape(count, 5).astype(np.float64)
-    return PointCloud(pts)
+    pts = np.frombuffer(payload, dtype="<f4").reshape(count, 5)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: point cloud contains non-finite values")
+    return PointCloud(pts.astype(np.float64))
 
 
 def save_scene(path, scene: Scene) -> None:
@@ -361,8 +369,12 @@ def save_scene(path, scene: Scene) -> None:
 def load_scene(path) -> Scene:
     import configparser
 
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not found:
         raise FileNotFoundError(path)
     if "scene" not in parser:
         raise ValueError(f"{path}: missing [scene] section")

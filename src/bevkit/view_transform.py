@@ -101,6 +101,11 @@ def depth_net(lr_feat: Tensor, cam: CameraParams, params: DepthNetParams):
 
 def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> DepthGroundTruth:
     """Project the cloud into one camera and bin the nearest depth per pixel."""
+    if stride < 1 or cam.height % stride or cam.width % stride:
+        raise DimensionError(
+            f"depth_ground_truth: camera {cam.name}: image {cam.height}x{cam.width} is not "
+            f"divisible by stride {stride}"
+        )
     hp, wp = cam.height // stride, cam.width // stride
     onehot = np.zeros((hp, wp, bins.count))
     mask = np.zeros((hp, wp))
@@ -171,6 +176,8 @@ def ray_stream(
     times its probability for that bin is added there. Out-of-range samples
     drop their mass.
     """
+    if not contexts:
+        raise DimensionError("ray_stream: no cameras")
     for ctx, dist, cam in zip(contexts, dists, cams, strict=True):
         hp, wp, _ = ctx.shape
         s = cam.width // wp

@@ -25,6 +25,15 @@ class TestGenerateScene:
         scene = sc.generate_scene(0, DESK, seed=1)
         assert scene.boxes == ()
 
+    @pytest.mark.parametrize("class_count", [0, -1])
+    def test_class_count_below_one_rejected(self, class_count):
+        with pytest.raises(ValueError, match="class_count"):
+            sc.generate_scene(2, DESK, class_count=class_count)
+
+    def test_scene_with_class_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="class_count"):
+            Scene(boxes=(), seed=0, class_count=-1)
+
     def test_deterministic(self):
         a = sc.generate_scene(5, DESK, seed=7)
         b = sc.generate_scene(5, DESK, seed=7)

@@ -152,6 +152,15 @@ class TestDepthGroundTruth:
         gt = vt.depth_ground_truth(pc, cam, BINS, stride=2)
         assert gt.mask.sum() == 0
 
+    def test_stride_not_dividing_image_rejected(self):
+        # At stride 3 a 16-pixel row gives 5 feature columns; u = 15.6 would
+        # land in column 5 and wrap into the next feature row.
+        cam = geo.CameraParams(fx=8, fy=8, cx=8, cy=8, width=16, height=16,
+                               rotation=np.eye(3), translation=np.zeros(3), name="front")
+        pc = sc.PointCloud(np.array([[7.6 * 2.5 / 8, -7.0 * 2.5 / 8, 2.5, 1.0, 0.0]]))
+        with pytest.raises(nm.DimensionError, match="front.*16x16.*stride 3"):
+            vt.depth_ground_truth(pc, cam, BINS, stride=3)
+
 
 class TestDepthLoss:
     def test_perfect_prediction_near_zero(self):
@@ -285,6 +294,10 @@ class TestRayStream:
         cams, ctxs, dists = ray_inputs(rng, n_cams=1, d=5)
         with pytest.raises(nm.DimensionError, match=r"c0.*\(8, 8, 5\) over 4 bins"):
             vt.ray_stream([Tensor(ctxs[0])], [Tensor(dists[0])], cams, BINS8, BEV16)
+
+    def test_no_cameras_rejected(self):
+        with pytest.raises(nm.DimensionError, match="ray_stream: no cameras"):
+            vt.ray_stream([], [], [], BINS8, BEV16)
 
     def test_context_distribution_grid_mismatch_rejected(self):
         rng = np.random.default_rng(16)
