@@ -30,13 +30,25 @@ class CameraParams:
     name: str = "cam"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError("fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
         R = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose must be a 3x3 rotation and a 3-vector")
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-9) or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
+        # Orthonormal entries lie in [-1, 1]; checking that first also keeps
+        # R @ R.T from overflowing on a NaN, infinite or huge entry.
+        if (
+            not (np.abs(R) <= 1.0 + 1e-9).all()
+            or not np.allclose(R @ R.T, np.eye(3), atol=1e-9)
+            or abs(np.linalg.det(R) - 1.0) > 1e-9
+        ):
             raise ValueError("rotation must be orthonormal with det +1")
         R.flags.writeable = False
         t.flags.writeable = False
@@ -240,13 +252,22 @@ def save_rig(path, cameras: list[CameraParams]) -> None:
         fh.write("\n".join(lines))
 
 
-def load_rig(path) -> list[CameraParams]:
+def _read_ini(path):
+    """Parse an ini file with no interpolation; any parse failure is a ValueError."""
     import configparser
 
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not found:
         raise FileNotFoundError(path)
+    return parser
+
+
+def load_rig(path) -> list[CameraParams]:
+    parser = _read_ini(path)
     cams = []
     for section in parser.sections():
         if not section.startswith("camera"):
@@ -269,4 +290,6 @@ def load_rig(path) -> list[CameraParams]:
             )
         except KeyError as err:
             raise ValueError(f"{path}: [{section}] missing key {err}") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: [{section}] {err}") from None
     return cams

@@ -1,6 +1,9 @@
 """Point cloud to LiDAR BEV: voxelize, encode per voxel, compress along z.
 
-The voxel encoder is a shared two-layer perceptron applied to each occupied
+Voxelization returns only the occupied voxels, as three row-aligned arrays
+in ascending flat-index order: integer coordinates, mean point feature and
+point count. One segment sum over the sorted points gives every mean. The
+voxel encoder is a shared two-layer perceptron applied to each occupied
 voxel's mean point feature; empty voxels stay zero. Compression concatenates
 the z slices channel-wise and applies one affine projection. Aggregation runs
 in ascending voxel-index order with content tiebreaks, so the result is
@@ -65,22 +68,22 @@ def full_scale_voxel_config() -> VoxelConfig:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Occupied voxels only: (ix, iy, iz) -> (mean 5-feature, point count)."""
+    """Occupied voxels in ascending flat-index order, as row-aligned arrays.
+
+    occupied: [V, 3] int64 voxel coordinates (ix, iy, iz); means: [V, 5] mean
+    point feature; counts: [V] int64 points per voxel. An empty grid has V = 0.
+    """
 
     cfg: VoxelConfig
-    occupied: dict[tuple[int, int, int], tuple[np.ndarray, int]]
-
-    @property
-    def total_points(self) -> int:
-        return sum(count for _, count in self.occupied.values())
+    occupied: np.ndarray
+    means: np.ndarray
+    counts: np.ndarray
 
 
 def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
     """Mean-pool point 5-vectors into their owner voxels; drop out-of-range."""
     pts = pc.points
     X, Y, Z = cfg.counts
-    if len(pts) == 0:
-        return VoxelGrid(cfg=cfg, occupied={})
     ix = np.floor((pts[:, 0] - cfg.x_min) / cfg.size[0]).astype(np.int64)
     iy = np.floor((pts[:, 1] - cfg.y_min) / cfg.size[1]).astype(np.int64)
     iz = np.floor((pts[:, 2] - cfg.z_min) / cfg.size[2]).astype(np.int64)
@@ -96,16 +99,13 @@ def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
     # the float sums are identical for any input permutation.
     order = np.lexsort((pts[:, 4], pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], flat))
     flat = flat[order]
-    pts = pts[order]
-    occupied: dict[tuple[int, int, int], tuple[np.ndarray, int]] = {}
-    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-    ends = np.r_[starts[1:], len(flat)]
-    for s, e in zip(starts, ends):
-        f = int(flat[s])
-        key = (f // (Y * Z), (f // Z) % Y, f % Z)
-        mean = pts[s:e].sum(axis=0) / (e - s)
-        occupied[key] = (mean, int(e - s))
-    return VoxelGrid(cfg=cfg, occupied=occupied)
+    starts = np.diff(flat, prepend=-1) != 0
+    voxel = np.cumsum(starts) - 1
+    counts = np.bincount(voxel)
+    # The segment sum adds each voxel's points one at a time in that order.
+    sums = nm._segment_sum(pts[order], voxel, len(counts))
+    occupied = np.stack(np.unravel_index(flat[starts], (X, Y, Z)), axis=1)
+    return VoxelGrid(cfg=cfg, occupied=occupied, means=sums / counts[:, None], counts=counts)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,8 @@ def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
     c_m = params.out.out_dim
     if params.hidden.in_dim != 5:
         raise DimensionError("voxel encoder expects 5 input features")
-    if not vg.occupied:
-        return Tensor(np.zeros((X, Y, Z, c_m)))
-    keys = list(vg.occupied.keys())  # insertion order is ascending voxel index
-    feats = Tensor(np.stack([vg.occupied[k][0] for k in keys]))
-    flat_idx = np.array([k[0] * (Y * Z) + k[1] * Z + k[2] for k in keys], dtype=np.int64)
+    feats = Tensor(vg.means)
+    flat_idx = np.ravel_multi_index(vg.occupied.T, (X, Y, Z))
     encoded = nm.linear(nm.relu(nm.linear(feats, params.hidden)), params.out)
     dense = nm.scatter_add(encoded, flat_idx, X * Y * Z)
     return nm.reshape(dense, (X, Y, Z, c_m))

@@ -100,26 +100,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, id={self.id})"
 
-    # Operator sugar; routed through the module ops so it is tape-aware.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 @dataclass
 class TapeNode:
@@ -494,6 +474,9 @@ def tensor_from_bytes(blob: bytes, origin: str = "<bytes>") -> Tensor:
     if len(blob) < header:
         raise ValueError(f"{origin}: truncated tensor header")
     shape = struct.unpack_from(f"<{rank}Q", blob, 8)
+    # numpy needs the nonzero extents' byte size to fit its index type.
+    if 8 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+        raise ValueError(f"{origin}: extents {shape} are too large for an array")
     count = math.prod(shape)
     payload = blob[header:]
     if len(payload) != 8 * count:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BEVConfig, CameraParams, look_at_pose, rotation_z
+from .geometry import BEVConfig, CameraParams, _read_ini, look_at_pose, rotation_z
 
 _RAY_EPS = 1e-9
 
@@ -367,15 +367,7 @@ def save_scene(path, scene: Scene) -> None:
 
 
 def load_scene(path) -> Scene:
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        found = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as err:
-        raise ValueError(f"{path}: {err}") from None
-    if not found:
-        raise FileNotFoundError(path)
+    parser = _read_ini(path)
     if "scene" not in parser:
         raise ValueError(f"{path}: missing [scene] section")
     seed = int(parser["scene"].get("seed", "0"))

@@ -162,6 +162,16 @@ def _feature_pixel_rays(hp: int, wp: int, stride: int):
     return np.stack([u.ravel(), v.ravel()], axis=1)
 
 
+def _check_camera_lists(op: str, **lists) -> None:
+    """Raise unless the per-camera lists are non-empty and equally long."""
+    lengths = [len(items) for items in lists.values()]
+    counts = ", ".join(f"{length} {name}" for name, length in zip(lists, lengths))
+    if 0 in lengths:
+        raise DimensionError(f"{op}: no cameras ({counts})")
+    if len(set(lengths)) != 1:
+        raise DimensionError(f"{op}: one entry per camera needed, got {counts}")
+
+
 def ray_stream(
     contexts: list[Tensor],
     dists: list[Tensor],
@@ -176,9 +186,8 @@ def ray_stream(
     times its probability for that bin is added there. Out-of-range samples
     drop their mass.
     """
-    if not contexts:
-        raise DimensionError("ray_stream: no cameras")
-    for ctx, dist, cam in zip(contexts, dists, cams, strict=True):
+    _check_camera_lists("ray_stream", contexts=contexts, distributions=dists, cameras=cams)
+    for ctx, dist, cam in zip(contexts, dists, cams):
         hp, wp, _ = ctx.shape
         s = cam.width // wp
         if dist.shape != (hp, wp, bins.count):
@@ -230,6 +239,7 @@ def point_stream(
     averages its valid pixel features; each cell averages its valid points;
     cells with none stay zero.
     """
+    _check_camera_lists("point_stream", features=hr_feats, cameras=cams)
     n = bev_cfg.n
     c = hr_feats[0].shape[2]
     n_pts = len(pc)

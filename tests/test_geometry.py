@@ -177,3 +177,26 @@ def test_rig_file_roundtrip(tmp_path):
         assert (a.fx, a.fy, a.cx, a.cy, a.width, a.height) == (b.fx, b.fy, b.cx, b.cy, b.width, b.height)
         np.testing.assert_array_equal(a.rotation, b.rotation)
         np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def _rig_with(tmp_path, key, value):
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
+                                     translation=np.zeros(3), name="front")])
+    text = path.read_text()
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    path.write_text(text.replace(line, f"{key} = {value}"))
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning is an escape too
+@pytest.mark.parametrize("key, value, message", [
+    ("fx", "nan", "fx, fy, cx and cy must be finite"),
+    ("width", "0", "image size must be at least 1x1, got 0x16"),
+    ("rotation", "1e200 0 0 0 1 0 0 0 1", "rotation must be orthonormal"),
+    ("translation", "inf 0 0", "translation must be finite"),
+])
+def test_rig_file_bad_camera_rejected(tmp_path, key, value, message):
+    path = _rig_with(tmp_path, key, value)
+    with pytest.raises(ValueError, match=rf"rig.txt: \[camera front\] {message}"):
+        geo.load_rig(path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,30 +39,28 @@ class TestVoxelize:
     def test_corner_point(self):
         pc = cloud([[-8.0, -8.0, -0.4, 1.0, 0.0]])
         vg = lp.voxelize(pc, DESK)
-        assert set(vg.occupied) == {(0, 0, 0)}
-        feat, count = vg.occupied[(0, 0, 0)]
-        assert count == 1
-        np.testing.assert_array_equal(feat, pc.points[0])
+        assert vg.occupied.tolist() == [[0, 0, 0]]
+        assert vg.counts.tolist() == [1]
+        np.testing.assert_array_equal(vg.means[0], pc.points[0])
 
     def test_mean_of_two(self):
         pc = cloud([[0.1, 0.1, 0.1, 1.0, 0.0], [0.2, 0.2, 0.1, 3.0, 0.5]])
         vg = lp.voxelize(pc, DESK)
         assert len(vg.occupied) == 1
-        feat, count = next(iter(vg.occupied.values()))
-        assert count == 2
-        np.testing.assert_allclose(feat, [0.15, 0.15, 0.1, 2.0, 0.25], atol=1e-12)
+        assert vg.counts.tolist() == [2]
+        np.testing.assert_allclose(vg.means[0], [0.15, 0.15, 0.1, 2.0, 0.25], atol=1e-12)
 
     def test_full_scale_floor_mapping(self):
         cfg = lp.full_scale_voxel_config()
         pc = cloud([[cfg.x_min + 0.1, cfg.y_min + 0.01, cfg.z_min + 0.01, 1, 0]])
         vg = lp.voxelize(pc, cfg)
-        (key,) = vg.occupied
+        (key,) = vg.occupied.tolist()
         assert key[0] == 1  # 0.1 m / 0.075 m -> voxel 1
 
     def test_out_of_range_dropped(self):
         pc = cloud([[100.0, 0.0, 0.0, 1.0, 0.0], [0.1, 0.1, 0.1, 1.0, 0.0]])
         vg = lp.voxelize(pc, DESK)
-        assert vg.total_points == 1
+        assert vg.counts.sum() == 1
 
     def test_point_count_conservation(self):
         rng = np.random.default_rng(4)
@@ -69,7 +69,7 @@ class TestVoxelize:
              rng.uniform(0, 1, size=(200, 2))], axis=1,
         )
         vg = lp.voxelize(cloud(pts), DESK)
-        assert vg.total_points == 200
+        assert vg.counts.sum() == 200
 
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(8)
@@ -79,12 +79,43 @@ class TestVoxelize:
         )
         vg1 = lp.voxelize(cloud(pts), DESK)
         vg2 = lp.voxelize(cloud(pts[rng.permutation(100)]), DESK)
-        assert set(vg1.occupied) == set(vg2.occupied)
-        for key in vg1.occupied:
-            f1, c1 = vg1.occupied[key]
-            f2, c2 = vg2.occupied[key]
-            assert c1 == c2
-            assert np.array_equal(f1, f2)
+        assert vg1.occupied.tolist() == vg2.occupied.tolist()
+        assert np.array_equal(vg1.counts, vg2.counts)
+        assert np.array_equal(vg1.means, vg2.means)
+
+    def test_cloud_with_no_point_in_range_gives_empty_grid(self):
+        vg = lp.voxelize(cloud([[100.0, 0.0, 0.0, 1.0, 0.0]]), DESK)
+        assert vg.occupied.shape == (0, 3)
+        assert vg.means.shape == (0, 5)
+        assert vg.counts.shape == (0,)
+        m = lp.encode_voxels(vg, encoder(np.random.default_rng(0)))
+        assert m.shape == (32, 32, 8, 6)
+        assert np.all(m.data == 0.0)
+
+    def test_means_match_one_at_a_time_loop_in_canonical_order(self):
+        rng = np.random.default_rng(10)
+        pts = np.concatenate(
+            [rng.uniform(-1, 1, size=(2000, 2)), rng.uniform(0, 0.8, size=(2000, 1)),
+             rng.uniform(0, 1, size=(2000, 2)) * 10.0 ** rng.integers(-4, 4, size=(2000, 2))],
+            axis=1,
+        )
+        groups = {}
+        for row in pts.tolist():
+            key = tuple(math.floor((row[a] - lo) / DESK.size[a])
+                        for a, lo in enumerate((DESK.x_min, DESK.y_min, DESK.z_min)))
+            groups.setdefault(key, []).append(row)
+        keys = sorted(groups)
+        means = []
+        for key in keys:
+            acc = np.zeros(5)
+            for row in sorted(groups[key]):
+                acc = acc + row
+            means.append(acc / len(groups[key]))
+        vg = lp.voxelize(cloud(pts), DESK)
+        assert vg.occupied.tolist() == [list(k) for k in keys]
+        assert vg.counts.tolist() == [len(groups[k]) for k in keys]
+        assert min(vg.counts) > 20
+        assert np.array_equal(vg.means, np.array(means))
 
 
 class TestEncodeVoxels:
@@ -101,8 +132,8 @@ class TestEncodeVoxels:
         m = lp.encode_voxels(vg, encoder(rng))
         nonzero = np.argwhere(np.abs(m.data).sum(axis=3) > 0)
         assert len(nonzero) == 1
-        (key,) = vg.occupied
-        assert tuple(nonzero[0]) == key
+        (key,) = vg.occupied.tolist()
+        assert nonzero[0].tolist() == key
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -115,10 +146,10 @@ class TestEncodeVoxels:
         m = lp.encode_voxels(vg, p)
         w1, b1 = p.hidden.weight.data, p.hidden.bias.data
         w2, b2 = p.out.weight.data, p.out.bias.data
-        for key, (feat, _) in vg.occupied.items():
+        for key, feat in zip(vg.occupied.tolist(), vg.means):
             h = np.maximum(0.0, w1 @ feat + b1)
             expected = w2 @ h + b2
-            np.testing.assert_allclose(m.data[key], expected, atol=1e-12)
+            np.testing.assert_allclose(m.data[tuple(key)], expected, atol=1e-12)
 
 
 class TestCompressZ:
@@ -138,8 +169,8 @@ class TestCompressZ:
         )
         bev = lp.compress_z(lp.encode_voxels(vg, p), proj)
         nz = np.argwhere(np.abs(bev.data).sum(axis=2) > 0)
-        (key,) = vg.occupied
-        assert len(nz) == 1 and tuple(nz[0]) == key[:2]
+        (key,) = vg.occupied.tolist()
+        assert len(nz) == 1 and nz[0].tolist() == key[:2]
 
     def test_matches_reshape_matmul_oracle(self):
         rng = np.random.default_rng(5)
@@ -158,7 +189,7 @@ class TestCompressZ:
         vg = lp.voxelize(cloud(pts), DESK)
         proj = linear_init(rng, 4, 8 * 6)
         bev = lp.compress_z(lp.encode_voxels(vg, encoder(rng)), proj)
-        occupied_cells = {(k[0], k[1]) for k in vg.occupied}
+        occupied_cells = {(k[0], k[1]) for k in vg.occupied.tolist()}
         nz_cells = {tuple(c) for c in np.argwhere(np.abs(bev.data).sum(axis=2) > 1e-15)}
         assert nz_cells <= occupied_cells
 

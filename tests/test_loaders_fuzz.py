@@ -8,6 +8,7 @@ struct.error, an IndexError, a numpy or parser error) is a loader bug.
 import numpy as np
 import pytest
 
+from bevkit import geometry as geo
 from bevkit import numerics as nm
 from bevkit import scene as sc
 from bevkit.geometry import desk_bev_config
@@ -28,10 +29,15 @@ def write_scene(path):
     sc.save_scene(path, sc.generate_scene(2, desk_bev_config(), seed=3))
 
 
+def write_rig(path):
+    geo.save_rig(path, sc.default_rig(16, 16))
+
+
 LOADERS = {
     "tensor": (write_tensor, nm.load_tensor),
     "point_cloud": (write_cloud, sc.load_point_cloud),
     "scene": (write_scene, sc.load_scene),
+    "rig": (write_rig, geo.load_rig),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -246,6 +247,16 @@ class TestSerialization:
     def test_truncated_header(self, blob):
         with pytest.raises(ValueError, match="<bytes>: truncated tensor header"):
             nm.tensor_from_bytes(blob)
+
+    @pytest.mark.parametrize("extents", [(2**64 - 1, 0), (2**63, 0), (2**62, 2**62, 0), (0, 2**60)])
+    def test_extents_numpy_cannot_index(self, extents):
+        blob = b"BKT1" + struct.pack("<I", len(extents)) + struct.pack(f"<{len(extents)}Q", *extents)
+        with pytest.raises(ValueError, match="blob.bkt: extents .* too large"):
+            nm.tensor_from_bytes(blob, "blob.bkt")
+
+    def test_largest_empty_extent_loads(self):
+        blob = b"BKT1" + struct.pack("<I", 2) + struct.pack("<2Q", 2**60 - 1, 0)
+        assert nm.tensor_from_bytes(blob).shape == (2**60 - 1, 0)
 
 
 class TestScatterGather:

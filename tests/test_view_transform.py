@@ -299,6 +299,14 @@ class TestRayStream:
         with pytest.raises(nm.DimensionError, match="ray_stream: no cameras"):
             vt.ray_stream([], [], [], BINS8, BEV16)
 
+    def test_camera_list_lengths_disagree_rejected(self):
+        rng = np.random.default_rng(17)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=2)
+        with pytest.raises(nm.DimensionError,
+                           match="ray_stream: .*2 contexts, 2 distributions, 1 cameras"):
+            vt.ray_stream([Tensor(c) for c in ctxs], [Tensor(d) for d in dists],
+                          cams[:1], BINS8, BEV16)
+
     def test_context_distribution_grid_mismatch_rejected(self):
         rng = np.random.default_rng(16)
         cams, ctxs, dists = ray_inputs(rng, n_cams=1)
@@ -354,6 +362,16 @@ class TestPointStream:
         pc = sc.PointCloud(np.array([[0.0, 0.0, -3.0, 1.0, 0.0]]))  # behind camera
         out = vt.point_stream(pc, [Tensor(np.ones((16, 16, 2)))], [cam], BEV16)
         assert np.all(out.data == 0.0)
+
+    def test_no_cameras_rejected(self):
+        pc, _, _ = self.scene_inputs(np.random.default_rng(18), n_pts=3)
+        with pytest.raises(nm.DimensionError, match="point_stream: no cameras"):
+            vt.point_stream(pc, [], [], BEV16)
+
+    def test_more_features_than_cameras_rejected(self):
+        pc, cams, feats = self.scene_inputs(np.random.default_rng(19))
+        with pytest.raises(nm.DimensionError, match="point_stream: .*2 features, 1 cameras"):
+            vt.point_stream(pc, [Tensor(f) for f in feats], cams[:1], BEV16)
 
 
 class TestFuseCameraBev:
