@@ -271,7 +271,7 @@ def load_rig(path) -> list[CameraParams]:
     cams = []
     for section in parser.sections():
         if not section.startswith("camera"):
-            continue
+            raise ValueError(f"{path}: unknown section [{section}] in a camera rig")
         name = section.split(None, 1)[1] if " " in section else section
         sec = parser[section]
         try:
@@ -292,4 +292,6 @@ def load_rig(path) -> list[CameraParams]:
             raise ValueError(f"{path}: [{section}] missing key {err}") from None
         except ValueError as err:
             raise ValueError(f"{path}: [{section}] {err}") from None
+    if not cams:
+        raise ValueError(f"{path}: no [camera ...] section")
     return cams

@@ -3,8 +3,11 @@
 Scenes are yawed cuboids resting on the ground plane z = 0. The LiDAR and
 the camera renderer share one vectorized first-hit ray caster (slab test in
 each box frame, plus the ground plane), so the occlusion structure both
-sensors observe is identical by construction. Everything is a pure function
-of the seed: same inputs, bit-identical outputs.
+sensors observe is identical by construction. The caster works box by box
+on component-major [3, N] rows; the box-frame transforms stay [N, 3] @ R
+matmuls, so its outputs are bit-identical to the row-major form of the same
+test. Everything is a pure function of the seed: same inputs, bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -170,13 +173,25 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
 def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
     """First intersection of each ray with any box surface or the ground.
 
-    Returns (t, kind, normal): the ray parameter (inf for misses), the hit
-    kind (box class id, HIT_GROUND, or HIT_NONE), and the world-space
-    outward surface normal. dirs need not be unit length; t is the
-    parametric multiplier along each dir.
+    origins and dirs are [N, 3]. Returns (t, kind, normal): the ray
+    parameter (inf for misses), the hit kind (box class id, HIT_GROUND, or
+    HIT_NONE), and the world-space outward surface normal [N, 3]. dirs need
+    not be unit length; t is the parametric multiplier along each dir. A
+    box whose slab interval starts at or behind the origin (origin inside
+    it) is not hit; on equal t the earlier box in scene.boxes wins.
+
+    Per box, the rays are moved into the box frame with the [N, 3] @ R
+    matmuls and then transposed to contiguous [3, N] rows, so every slab op
+    and the enter/exit reductions run over long rows. The matmuls are kept,
+    not written out per component, so the outputs are bit-identical to the
+    [N, 3] form of the same slab test.
     """
-    origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    dirs = np.ascontiguousarray(dirs, dtype=np.float64)
+    if origins.ndim != 2 or origins.shape[1] != 3:
+        raise ValueError(f"origins must be [N, 3], got shape {origins.shape}")
+    if dirs.shape != origins.shape:
+        raise ValueError(f"dirs must match origins {origins.shape}, got shape {dirs.shape}")
     n = origins.shape[0]
     t_best = np.full(n, np.inf)
     kind = np.full(n, HIT_NONE, dtype=np.int64)
@@ -194,32 +209,32 @@ def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
 
     for box in scene.boxes:
         R = rotation_z(box.yaw)  # box -> world
-        o_b = (origins - box.center) @ R
-        d_b = dirs @ R
-        half = box.size / 2.0
+        o_b = np.ascontiguousarray(((origins - box.center) @ R).T)
+        d_b = np.ascontiguousarray((dirs @ R).T)
+        half = (box.size / 2.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d_b
             t1 = (-half - o_b) * inv
             t2 = (half - o_b) * inv
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
         # Rays parallel to a slab: inside -> unconstrained, outside -> miss.
         par = np.abs(d_b) < 1e-12
         inside = np.abs(o_b) <= half
         lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
         hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-        t_enter = lo.max(axis=1)
-        t_exit = hi.min(axis=1)
+        t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+        t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
         ok = (t_enter <= t_exit) & (t_enter > _RAY_EPS) & (t_enter < t_best)
-        if not ok.any():
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
             continue
-        axis = np.argmax(lo[ok], axis=1)
-        sign = -np.sign(d_b[ok, axis])
-        n_b = np.zeros((ok.sum(), 3))
-        n_b[np.arange(len(axis)), axis] = sign
-        t_best[ok] = t_enter[ok]
-        kind[ok] = box.class_id
-        normal[ok] = n_b @ R.T
+        axis = np.argmax(lo[:, idx], axis=0)
+        n_b = np.zeros((idx.size, 3))
+        n_b[np.arange(idx.size), axis] = -np.sign(d_b[axis, idx])
+        t_best[idx] = t_enter[idx]
+        kind[idx] = box.class_id
+        normal[idx] = n_b @ R.T
 
     return t_best, kind, normal
 
@@ -236,9 +251,17 @@ def lidar_scan(
     carry intensity 1 and timestamp offset 0.
     """
     origin = np.asarray(sensor_origin, dtype=np.float64)
+    if origin.shape != (3,) or not np.isfinite(origin).all():
+        raise ValueError(
+            f"sensor_origin must be 3 finite values, got shape {origin.shape}: {origin}"
+        )
     if origin[2] <= 0:
         raise ValueError("LiDAR origin must be above the ground plane")
+    if not isinstance(azimuth_count, (int, np.integer)) or azimuth_count < 1:
+        raise ValueError(f"azimuth_count must be a positive integer, got {azimuth_count!r}")
     elevations = np.asarray(elevation_angles, dtype=np.float64)
+    if not np.isfinite(elevations).all():
+        raise ValueError(f"elevation_angles must be finite, got {elevations}")
     azimuths = 2.0 * np.pi * np.arange(azimuth_count) / azimuth_count
     el, az = np.meshgrid(elevations, azimuths, indexing="ij")
     dirs = np.stack(

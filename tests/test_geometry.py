@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bevkit import geometry as geo
+from bevkit import scene as sc
 from bevkit.geometry import BEVConfig, CameraParams, DepthBins
 
 
@@ -199,4 +200,28 @@ def _rig_with(tmp_path, key, value):
 def test_rig_file_bad_camera_rejected(tmp_path, key, value, message):
     path = _rig_with(tmp_path, key, value)
     with pytest.raises(ValueError, match=rf"rig.txt: \[camera front\] {message}"):
+        geo.load_rig(path)
+
+
+def test_scene_file_is_not_a_rig(tmp_path):
+    path = tmp_path / "scene.txt"
+    sc.save_scene(path, sc.generate_scene(2, geo.desk_bev_config(), seed=3))
+    with pytest.raises(ValueError, match=r"scene.txt: unknown section \[scene\]"):
+        geo.load_rig(path)
+
+
+def test_damaged_camera_header_rejected(tmp_path):
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
+                                     translation=np.zeros(3), name=name)
+                        for name in ("front", "back")])
+    path.write_text(path.read_text().replace("[camera front]", "[damera front]"))
+    with pytest.raises(ValueError, match=r"rig.txt: unknown section \[damera front\]"):
+        geo.load_rig(path)
+
+
+def test_rig_with_no_cameras_rejected(tmp_path):
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [])
+    with pytest.raises(ValueError, match=r"rig.txt: no \[camera \.\.\.\] section"):
         geo.load_rig(path)

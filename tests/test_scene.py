@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,170 @@ def test_lidar_camera_occlusion_consistency():
             t, kind, _ = sc.first_hits(np.broadcast_to(origin, d_world.shape), d_world, scene)
             hit = kind != sc.HIT_NONE
             assert np.all(t[hit] <= depth[ok][hit] + 1e-6)
+
+
+def slab_reference(origin, direction, scene):
+    """First hit of one ray, one box at a time in plain floats: (t, kind, normal).
+
+    The ground plane z = 0 is hit from above going down; each box is tested
+    in its own frame slab by slab. A box counts only if it is entered
+    strictly ahead of the origin and strictly before the best hit so far.
+    """
+    ox, oy, oz = (float(v) for v in origin)
+    dx, dy, dz = (float(v) for v in direction)
+    best = (math.inf, sc.HIT_NONE, (0.0, 0.0, 0.0))
+    if dz < -1e-12 and oz > 0:
+        t = -oz / dz
+        if t > 1e-9:
+            best = (t, sc.HIT_GROUND, (0.0, 0.0, 1.0))
+    for b in scene.boxes:
+        c, s = math.cos(b.yaw), math.sin(b.yaw)
+        rx, ry, rz = ox - b.center[0], oy - b.center[1], oz - b.center[2]
+        o_b = (c * rx + s * ry, -s * rx + c * ry, rz)
+        d_b = (c * dx + s * dy, -s * dx + c * dy, dz)
+        enter, leave, axis = -math.inf, math.inf, None
+        for k in range(3):
+            half = b.size[k] / 2.0
+            if abs(d_b[k]) < 1e-12:
+                if abs(o_b[k]) > half:
+                    break  # parallel to the slab and outside it: a miss
+                continue
+            near = min((-half - o_b[k]) / d_b[k], (half - o_b[k]) / d_b[k])
+            far = max((-half - o_b[k]) / d_b[k], (half - o_b[k]) / d_b[k])
+            if near > enter:
+                enter, axis = near, k
+            leave = min(leave, far)
+        else:
+            if enter <= leave and 1e-9 < enter < best[0]:
+                n_b = [0.0, 0.0, 0.0]
+                n_b[axis] = -math.copysign(1.0, d_b[axis])
+                world = (c * n_b[0] - s * n_b[1], s * n_b[0] + c * n_b[1], n_b[2])
+                best = (enter, b.class_id, world)
+    return best
+
+
+def check_against_reference(origins, dirs, scene):
+    t, kind, normal = sc.first_hits(origins, dirs, scene)
+    ref = [slab_reference(o, d, scene) for o, d in zip(origins, dirs)]
+    np.testing.assert_array_equal(kind, [r[1] for r in ref])
+    np.testing.assert_allclose(t, [r[0] for r in ref], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(normal, np.array([r[2] for r in ref]).reshape(-1, 3), rtol=0, atol=1e-12)
+    return t, kind, normal
+
+
+def lidar_rays(azimuth_count, elevations):
+    """The sweep of lidar_scan: azimuth fastest within each elevation ring."""
+    el, az = np.meshgrid(elevations, 2.0 * np.pi * np.arange(azimuth_count) / azimuth_count, indexing="ij")
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1).reshape(-1, 3)
+
+
+def camera_rays(cam):
+    """World directions through the integer pixels of cam, unit optical-axis depth."""
+    u, v = np.meshgrid(np.arange(cam.width, dtype=float), np.arange(cam.height, dtype=float))
+    d_cam = np.stack([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones_like(u)], axis=-1)
+    return d_cam.reshape(-1, 3) @ cam.rotation
+
+
+@pytest.mark.filterwarnings("error")
+class TestFirstHits:
+    def test_lidar_rays_match_reference(self):
+        scene = sc.generate_scene(6, DESK, seed=21)
+        origin = sc.default_lidar_origin()
+        elevations = sc.default_elevations(8)
+        dirs = lidar_rays(90, elevations)
+        origins = np.broadcast_to(origin, dirs.shape)
+        t, kind, _ = check_against_reference(origins, dirs, scene)
+        hit = kind != sc.HIT_NONE
+        assert (kind >= 0).sum() > 20 and (kind == sc.HIT_GROUND).sum() > 20
+        pc = sc.lidar_scan(scene, origin, 90, elevations)
+        np.testing.assert_allclose(pc.points[:, :3], origin + t[hit, None] * dirs[hit], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cam_index", [0, 1])
+    def test_camera_rays_match_reference(self, cam_index):
+        scene = sc.generate_scene(6, DESK, seed=22)
+        cam = sc.default_rig(16, 16)[cam_index]
+        dirs = camera_rays(cam)
+        t, kind, _ = check_against_reference(np.broadcast_to(cam.center, dirs.shape), dirs, scene)
+        assert (kind >= 0).any()
+        _, depth = sc.render_camera(scene, cam, 4)
+        np.testing.assert_array_equal(depth.ravel(), np.where(kind == sc.HIT_NONE, np.inf, t))
+
+    @pytest.mark.parametrize("origin, direction, expected_kind, expected_t", [
+        ((0.0, 0.2, 0.5), (1.0, 0.0, 0.0), 3, 2.5),  # inside the y and z slabs
+        ((0.0, 0.8, 0.5), (1.0, 0.0, 0.0), sc.HIT_NONE, np.inf),  # outside the y slab
+        ((0.0, 0.5, 0.5), (1.0, 0.0, 0.0), 3, 2.5),  # on the y face counts as inside
+        ((3.0, -0.8, 0.5), (0.0, 1e-13, 0.0), sc.HIT_NONE, np.inf),  # below 1e-12 is parallel
+    ])
+    def test_zero_direction_component(self, origin, direction, expected_kind, expected_t):
+        # The box spans [2.5, 3.5] x [-0.5, 0.5] x [0, 1].
+        scene = Scene(boxes=(box([3.0, 0.0, 0.5], cls=3),), seed=0)
+        origins = np.array([origin, origin])
+        dirs = np.array([direction, 2.0 * np.asarray(direction)])
+        t, kind, normal = check_against_reference(origins, dirs, scene)
+        assert list(kind) == [expected_kind] * 2
+        np.testing.assert_array_equal(t, [expected_t, expected_t / 2.0])
+        if expected_kind == sc.HIT_NONE:
+            assert np.all(normal == 0.0)
+        else:
+            np.testing.assert_array_equal(normal, [[-1.0, 0.0, 0.0]] * 2)
+
+    def test_zero_components_on_random_rays(self):
+        rng = np.random.default_rng(5)
+        scene = sc.generate_scene(6, DESK, seed=23)
+        origins = np.column_stack([rng.uniform(-8, 8, (300, 2)), rng.uniform(0.1, 2.5, 300)])
+        dirs = rng.normal(size=(300, 3))
+        dirs[rng.random((300, 3)) < 0.3] = 0.0
+        check_against_reference(origins, dirs, scene)
+
+    def test_origin_inside_box_hits_next_surface(self):
+        inner = box([2.0, 0.0, 0.5], cls=1)
+        outer = box([5.0, 0.0, 0.5], cls=2)
+        scene = Scene(boxes=(inner, outer), seed=0)
+        t, kind, normal = check_against_reference(np.array([[2.0, 0.1, 0.5]]), np.array([[1.0, 0.0, 0.0]]), scene)
+        assert kind[0] == 2 and t[0] == 2.5
+        np.testing.assert_array_equal(normal, [[-1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_equal_entry_earlier_box_wins(self, order):
+        # Both front faces lie at x = 2.5 and the boxes overlap.
+        pair = (box([3.0, 0.0, 0.5], cls=4), box([3.25, 0.1, 0.5], size=(1.5, 1.0, 1.0), cls=7))
+        scene = Scene(boxes=tuple(pair[i] for i in order), seed=0)
+        t, kind, _ = check_against_reference(np.array([[0.0, 0.0, 0.5]]), np.array([[1.0, 0.0, 0.0]]), scene)
+        assert t[0] == 2.5 and kind[0] == pair[order[0]].class_id
+
+    def test_no_rays(self):
+        scene = sc.generate_scene(3, DESK, seed=24)
+        t, kind, normal = sc.first_hits(np.zeros((0, 3)), np.zeros((0, 3)), scene)
+        assert t.shape == (0,) and kind.shape == (0,) and normal.shape == (0, 3)
+        assert (t.dtype, kind.dtype, normal.dtype) == (np.float64, np.int64, np.float64)
+
+    def test_single_origin_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"origins must be \[N, 3\], got shape \(3,\)"):
+            sc.first_hits(np.zeros(3), np.ones((5, 3)), Scene(boxes=(), seed=0))
+
+    def test_ray_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"dirs must match origins \(2, 3\), got shape \(5, 3\)"):
+            sc.first_hits(np.zeros((2, 3)), np.ones((5, 3)), Scene(boxes=(), seed=0))
+
+
+class TestLidarScanInput:
+    SCENE = Scene(boxes=(), seed=0)
+
+    def test_nan_origin_rejected(self):
+        with pytest.raises(ValueError, match=r"sensor_origin must be 3 finite values, got shape \(3,\)"):
+            sc.lidar_scan(self.SCENE, [0.0, np.nan, 1.6], 16, [-0.2])
+
+    def test_two_vector_origin_rejected(self):
+        with pytest.raises(ValueError, match=r"sensor_origin must be 3 finite values, got shape \(2,\)"):
+            sc.lidar_scan(self.SCENE, [0.0, 1.6], 16, [-0.2])
+
+    def test_negative_azimuth_count_rejected(self):
+        with pytest.raises(ValueError, match="azimuth_count must be a positive integer, got -3"):
+            sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], -3, [-0.2])
+
+    def test_nan_elevation_rejected(self):
+        with pytest.raises(ValueError, match="elevation_angles must be finite"):
+            sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], 16, [-0.2, np.nan])
 
 
 class TestPointCloudIO:
