@@ -127,15 +127,6 @@ def attention(queries: Tensor, memory: Tensor, p: AttentionParams):
     return nm.matmul(weights, v), weights
 
 
-def row_scale(x: Tensor, w: Tensor) -> Tensor:
-    """Scale row i of x [R, C] by w[i]; differentiable in both arguments."""
-    if w.ndim != 1 or w.shape[0] != x.shape[0]:
-        raise DimensionError(f"row_scale: {x.shape} rows vs weights {w.shape}")
-    ones = Tensor(np.ones((1, x.shape[1])))
-    tiled = nm.matmul(nm.reshape(w, (w.shape[0], 1)), ones)
-    return nm.mul(x, tiled)
-
-
 def sinusoidal_encoding(gx, gy, dim: int) -> np.ndarray:
     """Fixed positional code for integer grid cells; half for x, half for y."""
     if dim % 4 != 0:

@@ -16,6 +16,12 @@ Two routes from image features to the BEV plane:
 
 Both streams are exactly linear in their feature inputs, which the loop
 oracles in the check suite exploit.
+
+Each stream records one tape node with a hand-written VJP, as conv2d does,
+so no [samples, C] intermediate is copied, kept on the tape or wrapped in
+backward. Both sum in the order of the equivalent composition of
+gather_rows, row scaling and scatter_add (samples in index order per cell,
+cameras in list order), so outputs and gradients are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .geometry import (
     project_points,
     unproject_points,
 )
-from .layers import ConvBlockParams, LinearParams, conv_block, row_scale, upsample_shuffle
+from .layers import ConvBlockParams, LinearParams, conv_block, upsample_shuffle
 from .losses import PROB_FLOOR
 from .numerics import DimensionError, Tensor
 
@@ -172,6 +178,20 @@ def _check_camera_lists(op: str, **lists) -> None:
         raise DimensionError(f"{op}: one entry per camera needed, got {counts}")
 
 
+def _check_channels(op: str, what: str, feats: list[Tensor], cams: list[CameraParams]) -> None:
+    """Raise unless every camera's feature is [H, W, C] with the first camera's C."""
+    for feat, cam in zip(feats, cams):
+        if feat.ndim != 3:
+            raise DimensionError(f"{op}: camera {cam.name}: {what} {feat.shape} is not [H, W, C]")
+    c = feats[0].shape[2]
+    for feat, cam in zip(feats[1:], cams[1:]):
+        if feat.shape[2] != c:
+            raise DimensionError(
+                f"{op}: camera {cam.name}: {what} has {feat.shape[2]} channels, "
+                f"camera {cams[0].name}'s has {c}"
+            )
+
+
 def ray_stream(
     contexts: list[Tensor],
     dists: list[Tensor],
@@ -185,8 +205,13 @@ def ray_stream(
     pixel ray lands in at most one BEV cell; the pixel's context feature
     times its probability for that bin is added there. Out-of-range samples
     drop their mass.
+
+    One tape node; its inputs are (context, distribution) per camera. Kept
+    samples sum per cell in sample order and the cameras in list order,
+    which keeps the results bit-identical (see the module docstring).
     """
     _check_camera_lists("ray_stream", contexts=contexts, distributions=dists, cameras=cams)
+    _check_channels("ray_stream", "context", contexts, cams)
     for ctx, dist, cam in zip(contexts, dists, cams):
         hp, wp, _ = ctx.shape
         s = cam.width // wp
@@ -202,28 +227,39 @@ def ray_stream(
             )
     n = bev_cfg.n
     c_t = contexts[0].shape[2]
+    centers = bins.centers()
+    maps = []  # per camera: (context rows, kept samples, their pixels, cells, weights)
     total = None
     for ctx, dist, cam in zip(contexts, dists, cams):
-        hp, wp, _ = ctx.shape
-        d = dist.shape[2]
-        stride = cam.width // wp
-        uv = _feature_pixel_rays(hp, wp, stride)
-        centers = bins.centers()
-        uv_rep = np.repeat(uv, d, axis=0)
-        depth_rep = np.tile(centers, hp * wp)
-        world = unproject_points(uv_rep, depth_rep, cam)
+        hp, wp, d = dist.shape
+        uv = _feature_pixel_rays(hp, wp, cam.width // wp)
+        world = unproject_points(np.repeat(uv, d, axis=0), np.tile(centers, hp * wp), cam)
         gx, gy, ok = bev_indices(world[:, :2], bev_cfg)
-        cell = gx * n + gy
-
-        feat_rows = nm.gather_rows(
-            nm.reshape(ctx, (hp * wp, c_t)), np.repeat(np.arange(hp * wp), d)
-        )
-        weights = nm.reshape(dist, (hp * wp * d,))
-        weighted = row_scale(feat_rows, weights)
         keep = np.flatnonzero(ok)
-        contrib = nm.scatter_add(nm.gather_rows(weighted, keep), cell[keep], n * n)
-        total = contrib if total is None else nm.add(total, contrib)
-    return nm.reshape(total, (n, n, c_t))
+        pix = keep // d
+        cells = gx[keep] * n + gy[keep]
+        rows = ctx.data.reshape(hp * wp, c_t)
+        w = dist.data.reshape(hp * wp * d)[keep]
+        contrib = nm._segment_sum(rows[pix] * w[:, None], cells, n * n)
+        total = contrib if total is None else total + contrib
+        maps.append((rows, keep, pix, cells, w))
+
+    def vjp(g):
+        g = g.reshape(n * n, c_t)
+        grads = []
+        for (rows, keep, pix, cells, w), ctx, dist in zip(maps, contexts, dists):
+            g_kept = g[cells]
+            d_ctx = nm._segment_sum(g_kept * w[:, None], pix, rows.shape[0])
+            # The channel sum runs over every sample, zero rows included: the
+            # same matmul on the kept rows alone can round differently.
+            g_w = np.zeros((dist.size, c_t))
+            g_w[keep] = g_kept * rows[pix]
+            grads += [d_ctx.reshape(ctx.shape), (g_w @ np.ones((c_t, 1))).reshape(dist.shape)]
+        return tuple(grads)
+
+    inputs = tuple(t for pair in zip(contexts, dists) for t in pair)
+    saved = tuple(a for m in maps for a in m)
+    return nm._emit("ray_stream", inputs, total.reshape(n, n, c_t), saved, vjp)
 
 
 def point_stream(
@@ -238,46 +274,68 @@ def point_stream(
     camera and its nearest integer pixel lies inside the image. Each point
     averages its valid pixel features; each cell averages its valid points;
     cells with none stay zero.
+
+    One tape node; its inputs are the HR features. The cameras add per
+    point in list order and the valid points sum per cell in point order,
+    which keeps the results bit-identical (see the module docstring). A
+    camera that sees no point gets no gradient.
     """
     _check_camera_lists("point_stream", features=hr_feats, cameras=cams)
+    _check_channels("point_stream", "HR feature", hr_feats, cams)
+    for feat, cam in zip(hr_feats, cams):
+        if feat.shape[:2] != (cam.height, cam.width):
+            raise DimensionError(
+                f"point_stream: camera {cam.name}: HR feature {feat.shape[:2]} vs camera "
+                f"{cam.height, cam.width}"
+            )
     n = bev_cfg.n
     c = hr_feats[0].shape[2]
     n_pts = len(pc)
     if n_pts == 0:
         return Tensor(np.zeros((n, n, c)))
+    placements = []  # per seeing camera: (its index, seen points, their pixels)
     acc = None
     views = np.zeros(n_pts)
-    for feat, cam in zip(hr_feats, cams):
+    for k, (feat, cam) in enumerate(zip(hr_feats, cams)):
         h, w, _ = feat.shape
-        if (h, w) != (cam.height, cam.width):
-            raise DimensionError(
-                f"point_stream: HR feature {feat.shape[:2]} vs camera {cam.height, cam.width}"
-            )
         uv, depth, _ = project_points(pc.points[:, :3], cam)
         px = np.rint(uv[:, 0]).astype(np.int64)
         py = np.rint(uv[:, 1]).astype(np.int64)
         ok = (depth > 1e-6) & (px >= 0) & (px < w) & (py >= 0) & (py < h)
         if not ok.any():
             continue
-        rows = nm.gather_rows(nm.reshape(feat, (h * w, c)), (py[ok] * w + px[ok]))
-        gathered = nm.scatter_add(rows, np.flatnonzero(ok), n_pts)
-        acc = gathered if acc is None else nm.add(acc, gathered)
+        seen, pix = np.flatnonzero(ok), py[ok] * w + px[ok]
+        placed = np.zeros((n_pts, c))
+        placed[seen] = feat.data.reshape(h * w, c)[pix]
+        acc = placed if acc is None else acc + placed
         views += ok
+        placements.append((k, seen, pix))
     if acc is None:
         return Tensor(np.zeros((n, n, c)))
     inv_views = np.where(views > 0, 1.0 / np.maximum(views, 1), 0.0)
-    per_point = row_scale(acc, Tensor(inv_views))
 
     gx, gy, in_range = bev_indices(pc.points[:, :2], bev_cfg)
     valid = np.flatnonzero((views > 0) & in_range)
     if valid.size == 0:
         return Tensor(np.zeros((n, n, c)))
     cells = gx[valid] * n + gy[valid]
-    summed = nm.scatter_add(nm.gather_rows(per_point, valid), cells, n * n)
     counts = np.bincount(cells, minlength=n * n).astype(np.float64)
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    meaned = row_scale(summed, Tensor(inv_counts))
-    return nm.reshape(meaned, (n, n, c))
+    per_point = acc * inv_views[:, None]
+    meaned = nm._segment_sum(per_point[valid], cells, n * n) * inv_counts[:, None]
+
+    def vjp(g):
+        g_point = np.zeros((n_pts, c))
+        g_point[valid] = (g.reshape(n * n, c) * inv_counts[:, None])[cells]
+        g_acc = g_point * inv_views[:, None]
+        grads = [None] * len(hr_feats)
+        for k, seen, pix in placements:
+            shape = hr_feats[k].shape
+            grads[k] = nm._segment_sum(g_acc[seen], pix, shape[0] * shape[1]).reshape(shape)
+        return tuple(grads)
+
+    saved = (inv_views, valid, cells, inv_counts) + tuple(a for _, *m in placements for a in m)
+    return nm._emit("point_stream", tuple(hr_feats), meaned.reshape(n, n, c), saved, vjp)
 
 
 BevFuseParams = ConvBlockParams

@@ -79,6 +79,61 @@ class TestGenerateScene:
             assert ours == theirs
 
 
+def circle_of(b):
+    return b.center[:2], 0.5 * math.hypot(b.size[0], b.size[1])
+
+
+def touching_and_nested_pairs():
+    """Pairs sharing an edge or a corner, and pairs one inside the other, at several yaws."""
+    pairs = []
+    for yaw in np.linspace(-np.pi, np.pi, 13):
+        rot = geo.rotation_z(yaw)
+        for l, w in ((2.0, 1.0), (1.3, 0.9), (2.4, 1.6)):
+            for offset in ((l, 0.0), (0.0, w), (l, w), (-l, w), (0.5 * l, w)):
+                shift = rot @ np.array([offset[0], offset[1], 0.0])
+                pairs.append((box([0.3, -0.2, 1.0], (l, w, 1.0), yaw),
+                              box(np.array([0.3, -0.2, 1.0]) + shift, (l, w, 1.0), yaw)))
+            inner = (0.4 * l, 0.4 * w, 1.0)
+            pairs.append((box([1.0, 1.0, 1.0], (l, w, 1.0), yaw), box([1.0, 1.0, 1.0], inner, -yaw)))
+            pairs.append((box([1.0, 1.0, 1.0], (l, w, 1.0), yaw),
+                          box(np.array([1.0, 1.0, 1.0]) + rot @ [0.25 * l, 0.25 * w, 0.0],
+                              inner, yaw + 0.3)))
+    return pairs
+
+
+class TestCirclePreCheck:
+    def test_never_apart_when_the_footprints_overlap(self):
+        rng = np.random.default_rng(12)
+        def random_box():
+            return box(rng.uniform(-3, 3, 3) + [0, 0, 3], rng.uniform(0.5, 2.5, 3), rng.uniform(-4, 4))
+
+        pairs = [(random_box(), random_box()) for _ in range(3000)]
+        apart = overlapping = 0
+        for a, b in pairs + touching_and_nested_pairs():
+            overlap = sc.footprints_overlap(a.footprint(), b.footprint())
+            is_apart = sc.circles_apart(*circle_of(a), *circle_of(b))
+            assert not (overlap and is_apart)
+            apart += is_apart
+            overlapping += overlap
+        assert apart > 100 and overlapping > 100
+
+    def test_touching_circles_are_not_apart(self):
+        a, b = box([0.0, 0.0, 1.0], (2.0, 1.0, 1.0)), box([2.0, 1.0, 1.0], (2.0, 1.0, 1.0))
+        assert not sc.circles_apart(*circle_of(a), *circle_of(b))
+        assert sc.circles_apart(*circle_of(a), [2.0 + 1e-6, 1.0], circle_of(b)[1])
+
+    def test_scenes_equal_those_of_the_plain_separating_axis_test(self, monkeypatch):
+        bev = BEVConfig(-8.0, 8.0, -8.0, 8.0, 64)
+        fast = [sc.generate_scene(16, bev, seed=seed) for seed in range(20)]
+        monkeypatch.setattr(sc, "circles_apart", lambda *args: False)
+        plain = [sc.generate_scene(16, bev, seed=seed) for seed in range(20)]
+        for x, y in zip(fast, plain):
+            assert len(x.boxes) == len(y.boxes) == 16
+            for bx, by in zip(x.boxes, y.boxes):
+                assert np.array_equal(bx.center, by.center) and bx.yaw == by.yaw
+                assert np.array_equal(bx.size, by.size) and bx.class_id == by.class_id
+
+
 class TestLidarScan:
     def test_empty_scene_points_on_ground(self):
         scene = Scene(boxes=(), seed=0)

@@ -442,3 +442,204 @@ def test_ray_stream_gradients_flow():
         backward(tape, loss)
     assert np.any(tape.grad(ctx_t).data != 0)
     assert np.any(tape.grad(dist_t).data != 0)
+
+
+# --- the fused streams against the op chain they replace ---
+
+
+def _row_scale(x, w):
+    """Row i of x [R, C] times w[i], as a matmul by ones and a mul."""
+    tiled = nm.matmul(nm.reshape(w, (w.shape[0], 1)), Tensor(np.ones((1, x.shape[1]))))
+    return nm.mul(x, tiled)
+
+
+def chain_ray_stream(contexts, dists, cams, bins, bev_cfg):
+    """ray_stream as gather_rows / row scale / scatter_add / add; (output, kept, samples)."""
+    n, c = bev_cfg.n, contexts[0].shape[2]
+    total, kept, samples = None, 0, 0
+    for ctx, dist, cam in zip(contexts, dists, cams):
+        hp, wp, d = dist.shape
+        s = cam.width // wp
+        u, v = np.meshgrid((np.arange(wp) + 0.5) * s - 0.5, (np.arange(hp) + 0.5) * s - 0.5)
+        uv = np.repeat(np.stack([u.ravel(), v.ravel()], axis=1), d, axis=0)
+        world = geo.unproject_points(uv, np.tile(bins.centers(), hp * wp), cam)
+        gx, gy, ok = geo.bev_indices(world[:, :2], bev_cfg)
+        rows = nm.gather_rows(nm.reshape(ctx, (hp * wp, c)), np.repeat(np.arange(hp * wp), d))
+        weighted = _row_scale(rows, nm.reshape(dist, (hp * wp * d,)))
+        keep = np.flatnonzero(ok)
+        contrib = nm.scatter_add(nm.gather_rows(weighted, keep), (gx * n + gy)[keep], n * n)
+        total = contrib if total is None else nm.add(total, contrib)
+        kept, samples = kept + keep.size, samples + ok.size
+    return nm.reshape(total, (n, n, c)), kept, samples
+
+
+def chain_point_stream(pc, feats, cams, bev_cfg):
+    """point_stream as gather_rows / scatter_add / add / row scale; (output, views per point)."""
+    n, c, n_pts = bev_cfg.n, feats[0].shape[2], len(pc)
+    acc, views = None, np.zeros(n_pts)
+    for feat, cam in zip(feats, cams):
+        h, w, _ = feat.shape
+        uv, depth, _ = geo.project_points(pc.points[:, :3], cam)
+        px, py = np.rint(uv[:, 0]).astype(np.int64), np.rint(uv[:, 1]).astype(np.int64)
+        ok = (depth > 1e-6) & (px >= 0) & (px < w) & (py >= 0) & (py < h)
+        if not ok.any():
+            continue
+        rows = nm.gather_rows(nm.reshape(feat, (h * w, c)), py[ok] * w + px[ok])
+        placed = nm.scatter_add(rows, np.flatnonzero(ok), n_pts)
+        acc = placed if acc is None else nm.add(acc, placed)
+        views += ok
+    per_point = _row_scale(acc, Tensor(np.where(views > 0, 1.0 / np.maximum(views, 1), 0.0)))
+    gx, gy, in_range = geo.bev_indices(pc.points[:, :2], bev_cfg)
+    valid = np.flatnonzero((views > 0) & in_range)
+    cells = gx[valid] * n + gy[valid]
+    summed = nm.scatter_add(nm.gather_rows(per_point, valid), cells, n * n)
+    counts = np.bincount(cells, minlength=n * n).astype(np.float64)
+    meaned = _row_scale(summed, Tensor(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)))
+    return nm.reshape(meaned, (n, n, c)), views
+
+
+def output_and_grads(stream, inputs, weight):
+    """stream(inputs)'s output, the gradient of sum(output * weight) per input, tape nodes."""
+    with Tape() as tape:
+        out = stream(inputs)
+        if isinstance(out, tuple):
+            out = out[0]
+        nodes = len(tape.nodes)
+        backward(tape, nm.sum(nm.mul(out, Tensor(weight))))
+    return out.data, [tape.grad(t).data for t in inputs], nodes
+
+
+# Off-centre, so some bin-centre samples of both ray_inputs cameras leave the grid.
+BEV_CROPPED = BEVConfig(-1.0, 6.0, -2.0, 5.0, 7)
+
+
+class TestRayStreamIsTheOpChain:
+    @pytest.mark.parametrize("n_cams", [1, 2])
+    def test_output_and_gradients_bit_identical(self, n_cams):
+        rng = np.random.default_rng(40 + n_cams)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=n_cams)
+        inputs = [Tensor(a) for pair in zip(ctxs, dists) for a in pair]
+        weight = rng.normal(size=(7, 7, 3))
+
+        def fused(ts):
+            return vt.ray_stream(ts[0::2], ts[1::2], cams, BINS8, BEV_CROPPED)
+
+        def chain(ts):
+            return chain_ray_stream(ts[0::2], ts[1::2], cams, BINS8, BEV_CROPPED)
+
+        _, kept, samples = chain(inputs)
+        assert 0 < kept < samples
+        out, grads, nodes = output_and_grads(fused, inputs, weight)
+        out_ref, grads_ref, _ = output_and_grads(chain, inputs, weight)
+        assert nodes == 1
+        assert np.array_equal(out, out_ref)
+        assert np.any(out != 0)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+            assert np.any(g != 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_at_detector_scale(self, seed):
+        # Two 64x64 cameras, 16 context channels, 16 bins, 32x32 desk BEV. At
+        # this size the distribution gradient's channel sum, run as a matmul
+        # over the kept samples alone, rounds 1-2 entries differently.
+        from bevkit.geometry import desk_bev_config, desk_depth_bins
+
+        bev, bins, cams = desk_bev_config(), desk_depth_bins(), sc.default_rig(64, 64)
+        rng = np.random.default_rng(seed)
+        inputs = []
+        for _ in cams:
+            logits = rng.normal(size=(32, 32, bins.count))
+            e = np.exp(logits - logits.max(axis=2, keepdims=True))
+            dist = e / e.sum(axis=2, keepdims=True)
+            inputs += [Tensor(rng.normal(size=(32, 32, 16))), Tensor(dist)]
+        weight = rng.normal(size=(bev.n, bev.n, 16))
+        out, grads, _ = output_and_grads(
+            lambda ts: vt.ray_stream(ts[0::2], ts[1::2], cams, bins, bev), inputs, weight
+        )
+        out_ref, grads_ref, _ = output_and_grads(
+            lambda ts: chain_ray_stream(ts[0::2], ts[1::2], cams, bins, bev), inputs, weight
+        )
+        assert np.array_equal(out, out_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("which", ["context", "distribution"])
+    def test_gradient_matches_finite_differences(self, which):
+        rng = np.random.default_rng(43)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=2, hp=4, wp=4, width=8, height=8)
+        weight = Tensor(rng.normal(size=(7, 7, 3)))
+        ctx_ts, dist_ts = [Tensor(a) for a in ctxs], [Tensor(a) for a in dists]
+
+        def f(x):
+            c = [x, ctx_ts[1]] if which == "context" else ctx_ts
+            d = [x, dist_ts[1]] if which == "distribution" else dist_ts
+            return nm.sum(nm.mul(vt.ray_stream(c, d, cams, BINS8, BEV_CROPPED), weight))
+
+        x = ctx_ts[0] if which == "context" else dist_ts[0]
+        assert nm.finite_diff_check(f, x) < 1e-6
+
+    def test_context_channel_mismatch_names_camera(self):
+        rng = np.random.default_rng(44)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=2)
+        ctxs[1] = np.concatenate([ctxs[1], ctxs[1][..., :1]], axis=2)
+        message = "ray_stream: camera c1: context has 4 channels, camera c0's has 3"
+        with pytest.raises(nm.DimensionError, match=message):
+            vt.ray_stream([Tensor(c) for c in ctxs], [Tensor(d) for d in dists],
+                          cams, BINS8, BEV16)
+
+
+class TestPointStreamIsTheOpChain:
+    def inputs(self, rng):
+        """Two overlapping cameras plus one facing away from every point."""
+        cams, _, _ = ray_inputs(rng, n_cams=2)
+        R, t = geo.look_at_pose([0, 0, 1.5], [-4.0, 0.0, 0.5])
+        cams.append(CameraParams(fx=8, fy=8, cx=8, cy=8, width=16, height=16,
+                                 rotation=R, translation=t, name="back"))
+        n_pts = 80
+        r, yaw = rng.uniform(1.0, 9.0, n_pts), rng.uniform(-0.4, 1.4, n_pts)
+        # Every 8th point 12 m up, above every view.
+        z = np.where(np.arange(n_pts) % 8 == 0, 12.0, rng.uniform(0.0, 1.0, n_pts))
+        pts = np.stack([r * np.cos(yaw), r * np.sin(yaw), z, np.ones(n_pts), np.zeros(n_pts)],
+                       axis=1)
+        feats = [Tensor(rng.normal(size=(16, 16, 3))) for _ in cams]
+        return sc.PointCloud(pts), cams, feats
+
+    def test_output_and_gradients_bit_identical(self):
+        rng = np.random.default_rng(45)
+        pc, cams, feats = self.inputs(rng)
+        weight = rng.normal(size=(16, 16, 3))
+        _, views = chain_point_stream(pc, feats, cams, BEV16)
+        assert views.max() == 2 and np.any(views == 0)
+        out, grads, nodes = output_and_grads(
+            lambda ts: vt.point_stream(pc, ts, cams, BEV16), feats, weight
+        )
+        out_ref, grads_ref, _ = output_and_grads(
+            lambda ts: chain_point_stream(pc, ts, cams, BEV16), feats, weight
+        )
+        assert nodes == 1
+        assert np.array_equal(out, out_ref)
+        assert np.any(out != 0)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+        assert np.any(grads[0] != 0) and np.any(grads[1] != 0)
+        assert np.all(grads[2] == 0)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(46)
+        pc, cams, feats = self.inputs(rng)
+        cams, feats = cams[:2], feats[:2]
+        weight = Tensor(rng.normal(size=(16, 16, 3)))
+
+        def f(x):
+            return nm.sum(nm.mul(vt.point_stream(pc, [feats[0], x], cams, BEV16), weight))
+
+        assert nm.finite_diff_check(f, feats[1]) < 1e-6
+
+    def test_feature_channel_mismatch_names_camera(self):
+        pc, cams, feats = self.inputs(np.random.default_rng(47))
+        feats[2] = Tensor(np.zeros((16, 16, 5)))
+        with pytest.raises(nm.DimensionError,
+                           match="point_stream: camera back: HR feature has 5 channels, "
+                                 "camera c0's has 3"):
+            vt.point_stream(pc, feats, cams, BEV16)
