@@ -79,22 +79,6 @@ def conv_block(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams) -> Tensor:
     return conv2d(nm.relu(conv2d(x, conv1)), conv2)
 
 
-def upsample_shuffle(x: Tensor, lin: LinearParams, factor: int) -> Tensor:
-    """Learned upsampling: per-pixel affine to factor^2 sub-pixels, then shuffle.
-
-    With kernel == stride there is no overlap, so this is the exact
-    transposed-convolution equivalent.
-    """
-    h, w, c = x.shape
-    cout = lin.out_dim // (factor * factor)
-    if cout * factor * factor != lin.out_dim:
-        raise DimensionError("upsample_shuffle: out dim not divisible by factor^2")
-    y = nm.linear(nm.reshape(x, (h * w, c)), lin)
-    y = nm.reshape(y, (h, w, factor, factor, cout))
-    y = nm.permute(y, (0, 2, 1, 3, 4))
-    return nm.reshape(y, (h * factor, w * factor, cout))
-
-
 @dataclass(frozen=True)
 class FfnParams:
     hidden: LinearParams
@@ -150,9 +134,8 @@ def sinusoidal_encoding(gx, gy, dim: int) -> np.ndarray:
 # --- parameter initializers (uniform fan-in scaling, zero bias) ---
 
 
-def linear_init(rng, out_dim: int, in_dim: int, scale=None) -> LinearParams:
-    if scale is None:
-        scale = 1.0 / np.sqrt(in_dim)
+def linear_init(rng, out_dim: int, in_dim: int) -> LinearParams:
+    scale = 1.0 / np.sqrt(in_dim)
     w = rng.uniform(-scale, scale, size=(out_dim, in_dim))
     return LinearParams(Tensor(w), Tensor(np.zeros(out_dim)))
 
@@ -171,11 +154,9 @@ def ffn_init(rng, out_dim: int, hidden_dim: int, in_dim: int) -> FfnParams:
     )
 
 
-def attention_init(rng, dim: int, memory_dim=None) -> AttentionParams:
-    if memory_dim is None:
-        memory_dim = dim
+def attention_init(rng, dim: int) -> AttentionParams:
     return AttentionParams(
         query=linear_init(rng, dim, dim),
-        key=linear_init(rng, dim, memory_dim),
-        value=linear_init(rng, dim, memory_dim),
+        key=linear_init(rng, dim, dim),
+        value=linear_init(rng, dim, dim),
     )

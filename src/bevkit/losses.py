@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .geometry import BEVConfig, bev_index
 from .numerics import NumericError, Tensor
-from .predictor import CandidateSet, HeadOutput, _sigmoid_np, encode_box_for_cell
+from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
 
 PROB_FLOOR = 1e-7
 FOCAL_ALPHA = 0.25
@@ -187,13 +187,6 @@ def hungarian_match(cost) -> MatchResult:
     )
 
 
-def _pow(x: Tensor, exponent: float) -> Tensor:
-    # x is strictly positive wherever this is used (post-clamp probabilities).
-    if exponent == 0:
-        return Tensor(np.ones(x.shape))
-    return nm.exp(nm.mul(nm.log(x), exponent))
-
-
 def focal_loss(
     probs: Tensor, targets, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
 ) -> Tensor:
@@ -206,10 +199,11 @@ def focal_loss(
     if t.shape != probs.shape:
         raise nm.DimensionError(f"focal_loss: targets {t.shape} vs probs {probs.shape}")
     p = nm.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = nm.sub(Tensor(np.ones(p.shape)), p)
-    pos = nm.mul(nm.mul(_pow(q, gamma), nm.log(p)), -alpha)
-    neg = nm.mul(nm.mul(_pow(p, gamma), nm.log(q)), -(1.0 - alpha))
-    per_elem = nm.add(nm.mul(Tensor(t), pos), nm.mul(Tensor(1.0 - t), neg))
+    q = nm.sub(1.0, p)
+    # p and q are strictly positive after the clamp, so x^gamma = exp(gamma log x).
+    pos = nm.mul(nm.mul(nm.exp(nm.mul(nm.log(q), gamma)), nm.log(p)), -alpha)
+    neg = nm.mul(nm.mul(nm.exp(nm.mul(nm.log(p), gamma)), nm.log(q)), -(1.0 - alpha))
+    per_elem = nm.add(nm.mul(pos, t), nm.mul(neg, 1.0 - t))
     return nm.mean(per_elem)
 
 
@@ -222,7 +216,17 @@ def l1_box_loss(pred: Tensor, gt) -> Tensor:
     target = np.asarray(gt, dtype=np.float64)
     if target.shape != pred.shape:
         raise nm.DimensionError(f"l1_box_loss: {pred.shape} vs {target.shape}")
-    return nm.mean(_abs(nm.sub(pred, Tensor(target))))
+    return nm.mean(_abs(nm.sub(pred, target)))
+
+
+def _check_class_ids(gt_boxes, class_count: int) -> None:
+    """Raise ValueError unless every ground-truth class id is below class_count."""
+    for i, box in enumerate(gt_boxes):
+        if box.class_id >= class_count:
+            raise ValueError(
+                f"ground-truth box {i}: class_id {box.class_id} is out of range for "
+                f"{class_count} classes"
+            )
 
 
 def match_against_gt(
@@ -233,19 +237,17 @@ def match_against_gt(
     Pair cost is a focal-style class cost at the ground-truth class plus the
     mean absolute difference between encoded boxes.
     """
+    _check_class_ids(gt_boxes, output.class_logits.shape[1])
     k, g = cands.k, len(gt_boxes)
     if k == 0 or g == 0:
         return MatchResult((), tuple(range(k)), tuple(range(g)), 0.0)
-    probs = np.clip(_sigmoid_np(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    probs = np.clip(nm._sigmoid(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
     cost = np.zeros((k, g))
-    encodings = np.zeros((k, g, output.boxes.shape[1]))
     for gi, gt in enumerate(gt_boxes):
         p = probs[:, gt.class_id]
         cls_cost = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)
-        for ki in range(k):
-            encodings[ki, gi] = encode_box_for_cell(gt, cands.cells[ki], bev_cfg)
-        box_cost = np.abs(output.boxes.data - encodings[:, gi]).mean(axis=1)
-        cost[:, gi] = cls_cost + box_cost
+        encoded = encode_box_for_cell(gt, cands.cells, bev_cfg)
+        cost[:, gi] = cls_cost + np.abs(output.boxes.data - encoded).mean(axis=1)
     return hungarian_match(cost)
 
 
@@ -289,6 +291,7 @@ def heatmap_target(gt_boxes, bev_cfg: BEVConfig, class_count: int) -> np.ndarray
     The splat radius follows the box footprint (at least one cell), with
     per-cell max combining when splats overlap.
     """
+    _check_class_ids(gt_boxes, class_count)
     n = bev_cfg.n
     target = np.zeros((n, n, class_count))
     for box in gt_boxes:
@@ -323,12 +326,10 @@ def heatmap_loss(heatmap: Tensor, target: np.ndarray) -> Tensor:
     pos_mask = (target == 1.0).astype(np.float64)
     neg_weight = (1.0 - target) ** 4 * (1.0 - pos_mask)
     p = nm.clamp(heatmap, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = nm.sub(Tensor(np.ones(p.shape)), p)
+    q = nm.sub(1.0, p)
     pos = nm.mul(nm.mul(nm.mul(q, q), nm.log(p)), -1.0)
     neg = nm.mul(nm.mul(nm.mul(p, p), nm.log(q)), -1.0)
-    total = nm.add(
-        nm.mul(pos, Tensor(pos_mask)), nm.mul(neg, Tensor(neg_weight))
-    )
+    total = nm.add(nm.mul(pos, pos_mask), nm.mul(neg, neg_weight))
     denom = max(1.0, float(pos_mask.sum()))
     return nm.mul(nm.sum(total), 1.0 / denom)
 

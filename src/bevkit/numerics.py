@@ -5,6 +5,12 @@ so one backward() implementation serves the whole model. Tensors are
 immutable values; gradients live in the tape, keyed by tensor id, not on
 the tensors themselves. Running ops outside any ``with Tape()`` block is
 the tape-free inference path.
+
+An operand of add, sub or mul that is not a Tensor is a constant: a number,
+or a float64 array of exactly the other operand's shape (no broadcasting; a
+mismatch raises DimensionError naming both shapes). A constant is no tape
+input and gets no gradient, so targets, masks and weights never reach the
+tape or backward().
 """
 
 from __future__ import annotations
@@ -178,41 +184,52 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
 
 
 def _emit(op, inputs, out_arr, saved, vjp) -> Tensor:
-    out = Tensor(out_arr)
     tape = active_tape()
+    try:
+        out = Tensor(out_arr)
+    except NumericError as err:
+        shapes = ", ".join(str(t.shape) for t in inputs)
+        node = "" if tape is None else f" at tape node {len(tape.nodes)}"
+        raise NumericError(f"{op} on inputs {shapes}{node}: {err}") from None
     if tape is not None:
         tape.record(op, inputs, out, saved, vjp)
     return out
 
 
-def _as_scalar(x):
-    if isinstance(x, (int, float, np.integer, np.floating)):
-        return float(x)
-    return None
+def _operands(op: str, a, b):
+    """(the Tensor operand, the other one): a Tensor, a float or a float64 array,
+    of exactly the first's shape unless it is a float."""
+    t, other = (a, b) if isinstance(a, Tensor) else (b, a)
+    if isinstance(other, (int, float, np.integer, np.floating)):
+        return t, float(other)
+    if not isinstance(other, Tensor):
+        other = np.asarray(other, dtype=np.float64)
+    if other.shape != t.shape:
+        raise DimensionError(f"{op}: shape mismatch {t.shape} vs {other.shape}")
+    return t, other
 
 
-def add(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return _emit("add_scalar", (a,), a.data + s, (s,), lambda g: (g,))
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _emit("add", (a, b), a.data + b.data, (), lambda g: (g, g))
+def add(a, b) -> Tensor:
+    """a + b. Either operand may be a constant: no tape input, no gradient."""
+    a, b = _operands("add", a, b)
+    if isinstance(b, Tensor):
+        return _emit("add", (a, b), a.data + b.data, (), lambda g: (g, g))
+    return _emit("add_const", (a,), a.data + b, (), lambda g: (g,))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return add(a, -s)
-    return add(a, mul(b, -1.0))
+def sub(a, b) -> Tensor:
+    """a - b, as a + (-1 * b). Either operand may be a constant."""
+    if isinstance(b, Tensor):
+        return add(a, mul(b, -1.0))
+    a, b = _operands("sub", a, b)
+    return add(a, -b)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return _emit("mul_scalar", (a,), a.data * s, (s,), lambda g: (g * s,))
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+def mul(a, b) -> Tensor:
+    """a * b, elementwise. Either operand may be a constant: no tape input, no gradient."""
+    a, b = _operands("mul", a, b)
+    if not isinstance(b, Tensor):
+        return _emit("mul_const", (a,), a.data * b, (b,), lambda g: (g * b,))
     ad, bd = a.data, b.data
     return _emit("mul", (a, b), ad * bd, (ad, bd), lambda g: (g * bd, g * ad))
 
@@ -333,9 +350,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit("softmax", (x,), y, (axis,), vjp)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on an array, overflow-free: exp(-|x|) never exceeds 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    y = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    y = _sigmoid(x.data)
     return _emit("sigmoid", (x,), y, (), lambda g: (g * y * (1.0 - y),))
 
 

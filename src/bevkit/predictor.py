@@ -114,7 +114,7 @@ def decode_general(b_f: Tensor, cands: CandidateSet, params: DecoderParams) -> T
     rows = nm.reshape(b_f, (X * Y, C))
     q = nm.gather_rows(rows, cands.flat_cells(Y))
     q = nm.add(q, nm.gather_rows(params.class_embed, cands.classes))
-    q = nm.add(q, Tensor(sinusoidal_encoding(cands.cells[:, 0], cands.cells[:, 1], C)))
+    q = nm.add(q, sinusoidal_encoding(cands.cells[:, 0], cands.cells[:, 1], C))
     decoded, _ = attention(q, rows, params.attn)
     return nm.add(decoded, ffn(decoded, params.ffn))
 
@@ -232,22 +232,16 @@ def decode_box(cell, box: np.ndarray, bev_cfg: BEVConfig):
 
 
 def encode_box_for_cell(gt_box, cell, bev_cfg: BEVConfig) -> np.ndarray:
-    """Ground-truth box in the head's 10-dim parameterization at a cell."""
-    cx, cy = bev_cfg.cell_center(int(cell[0]), int(cell[1]))
-    return np.array(
-        [
-            (gt_box.center[0] - cx) / bev_cfg.cell_w,
-            (gt_box.center[1] - cy) / bev_cfg.cell_h,
-            gt_box.center[2],
-            np.log(gt_box.size[0]),
-            np.log(gt_box.size[1]),
-            np.log(gt_box.size[2]),
-            np.sin(gt_box.yaw),
-            np.cos(gt_box.yaw),
-            gt_box.velocity[0],
-            gt_box.velocity[1],
-        ]
-    )
+    """Ground-truth box in the head's 10-dim parameterization at one cell
+    (gx, gy) -> [BOX_DIM], or at each of the cells [K, 2] -> [K, BOX_DIM]."""
+    cell = np.asarray(cell, dtype=np.int64)
+    cx, cy = bev_cfg.cell_center(cell[..., 0], cell[..., 1])
+    out = np.empty(cell.shape[:-1] + (BOX_DIM,))
+    out[..., 0] = (gt_box.center[0] - cx) / bev_cfg.cell_w
+    out[..., 1] = (gt_box.center[1] - cy) / bev_cfg.cell_h
+    yaw = gt_box.yaw
+    out[..., 2:] = [gt_box.center[2], *np.log(gt_box.size), np.sin(yaw), np.cos(yaw), *gt_box.velocity]
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,21 +259,18 @@ class HeadOutput:
     detections: list[Detection]
 
 
-def _sigmoid_np(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _build_output(logits: Tensor, boxes: Tensor, cands: CandidateSet, bev_cfg: BEVConfig) -> HeadOutput:
     dets = []
     ld, bd = logits.data, boxes.data
+    classes = ld.argmax(axis=1)
+    scores = nm._sigmoid(ld[np.arange(cands.k), classes])
     for i in range(cands.k):
-        cls = int(np.argmax(ld[i]))
         center, size, yaw, vel = decode_box(cands.cells[i], bd[i], bev_cfg)
         dets.append(
             Detection(
                 cell=(int(cands.cells[i, 0]), int(cands.cells[i, 1])),
-                class_id=cls,
-                score=float(_sigmoid_np(ld[i, cls])),
+                class_id=int(classes[i]),
+                score=float(scores[i]),
                 class_logits=ld[i].copy(),
                 box_encoded=bd[i].copy(),
                 center=center,

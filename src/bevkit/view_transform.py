@@ -40,7 +40,7 @@ from .geometry import (
     project_points,
     unproject_points,
 )
-from .layers import ConvBlockParams, LinearParams, conv_block, upsample_shuffle
+from .layers import ConvBlockParams, LinearParams, conv_block
 from .losses import PROB_FLOOR
 from .numerics import DimensionError, Tensor
 
@@ -72,8 +72,20 @@ def camera_encode(image, params: CameraEncoderParams) -> Tensor:
 
 
 def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int = 2) -> Tensor:
-    """LR feature back to image resolution with fewer channels."""
-    return upsample_shuffle(lr_feat, params, factor)
+    """LR feature back to image resolution with fewer channels.
+
+    A learned per-pixel affine map to factor^2 sub-pixels, then a pixel
+    shuffle: with kernel == stride there is no overlap, so this is the exact
+    transposed-convolution equivalent.
+    """
+    h, w, c = lr_feat.shape
+    cout = params.out_dim // (factor * factor)
+    if cout * factor * factor != params.out_dim:
+        raise DimensionError("upsample_hr: out dim not divisible by factor^2")
+    y = nm.linear(nm.reshape(lr_feat, (h * w, c)), params)
+    y = nm.reshape(y, (h, w, factor, factor, cout))
+    y = nm.permute(y, (0, 2, 1, 3, 4))
+    return nm.reshape(y, (h * factor, w * factor, cout))
 
 
 @dataclass(frozen=True)
@@ -150,12 +162,11 @@ def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor
     target = np.concatenate([g.onehot.reshape(-1, g.onehot.shape[2]) for g in gts], axis=0)
     mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)
     p = nm.clamp(rows, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    t = Tensor(target)
-    pos = nm.mul(t, nm.log(p))
-    neg = nm.mul(nm.sub(Tensor(np.ones_like(target)), t), nm.log(nm.sub(Tensor(np.ones_like(target)), p)))
+    pos = nm.mul(nm.log(p), target)
+    neg = nm.mul(nm.log(nm.sub(1.0, p)), 1.0 - target)
     per_bin = nm.mul(nm.add(pos, neg), -1.0)
     per_pixel = nm.sum(per_bin, axis=1)
-    masked = nm.mul(per_pixel, Tensor(mask))
+    masked = nm.mul(per_pixel, mask)
     valid = max(1.0, float(mask.sum()))
     return nm.mul(nm.sum(masked), 1.0 / valid)
 

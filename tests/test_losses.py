@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bevkit import losses as ls
 from bevkit import numerics as nm
 from bevkit import oracles
 from bevkit import predictor as pr
+from bevkit import view_transform as vt
 from bevkit.geometry import BEVConfig, bev_index
 from bevkit.layers import ffn_init
 from bevkit.numerics import NumericError, Tensor
@@ -258,6 +260,19 @@ class TestTotalLoss:
                 nm.backward(tape, total)
         assert np.all(tape.grad(heat).data == 0.0)
 
+    def test_tape_has_no_leaf_but_its_inputs(self):
+        out, cands, heat, boxes = self.build_perfect()
+        rng = np.random.default_rng(5)
+        dist = Tensor(rng.dirichlet(np.ones(4), size=(2, 3)))
+        onehot = np.eye(4)[rng.integers(0, 4, size=(2, 3))]
+        gt = vt.DepthGroundTruth(onehot=onehot, mask=np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+        with nm.Tape() as tape:
+            depth = vt.depth_loss_multi([dist], [gt])
+            ls.total_loss(out, out, cands, heat, boxes, BEV16, ls.LossWeights(), depth=depth)
+        inputs = {i for node in tape.nodes for i in node.input_ids}
+        leaves = inputs - {node.output_id for node in tape.nodes}
+        assert leaves == {heat.id, out.class_logits.id, out.boxes.id, dist.id}
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             ls.LossWeights(lam1=-0.1)
@@ -280,3 +295,68 @@ def test_focal_bce_l1_fuser_gradient_suite():
         return nm.sum(nm.add(pos, neg))
 
     assert nm.finite_diff_check(bce, Tensor(rng.normal(size=6))) < 1e-4
+
+
+class TestVectorisedEncode:
+    def test_cells_match_per_cell_calls(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            box = gt_box(
+                *rng.uniform(-8.0, 8.0, size=2), cls=1, yaw=rng.uniform(-np.pi, np.pi),
+                size=rng.uniform(0.3, 5.0, size=3), vel=rng.normal(size=2),
+            )
+            cells = rng.integers(0, 16, size=(20, 2))
+            stacked = np.stack([pr.encode_box_for_cell(box, cell, BEV16) for cell in cells])
+            assert np.array_equal(pr.encode_box_for_cell(box, cells, BEV16), stacked)
+
+
+class TestVeryNegativeLogits:
+    """exp(800) overflows float64; the shared sigmoid never forms it."""
+
+    def test_match_raises_no_warning(self):
+        boxes = [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)]
+        cells = [bev_index(b.center[0], b.center[1], BEV16) for b in boxes]
+        out, cands = head_output_for(boxes, cells)
+        logits = out.class_logits.data.copy()
+        logits[0, 1] = -800.0
+        crafted = pr.HeadOutput(Tensor(logits), out.boxes, out.detections)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = ls.match_against_gt(crafted, cands, boxes, BEV16)
+        assert match.pairs == ((0, 0), (1, 1))
+
+    def test_subtask_heads_raise_no_warning(self):
+        classifier = ffn_init(np.random.default_rng(0), 3, 4, 4)
+        bias = Tensor(np.array([-800.0, -900.0, -850.0]))
+        classifier = pr.FfnParams(classifier.hidden, nm.LinearParams(classifier.out.weight, bias))
+        params = pr.HeadParams(classifier, ffn_init(np.random.default_rng(1), pr.BOX_DIM, 4, 4))
+        cands = pr.CandidateSet(np.array([[3, 4], [5, 6]]), np.array([0, 1]), np.array([0.9, 0.5]))
+        q = Tensor(np.zeros((2, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pr.subtask_heads(q, q, params, cands, BEV16)
+        assert [(d.class_id, d.score) for d in out.detections] == [(0, 0.0), (0, 0.0)]
+
+
+class TestClassIdOutOfRange:
+    """A ground-truth class the head cannot score fails with a ValueError naming it."""
+
+    MESSAGE = r"ground-truth box 1: class_id 5 is out of range for 3 classes"
+
+    def setup_method(self):
+        boxes = [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)]
+        cells = [bev_index(b.center[0], b.center[1], BEV16) for b in boxes]
+        self.out, self.cands = head_output_for(boxes, cells)
+        self.bad = [boxes[0], gt_box(-3.0, 2.0, cls=5)]
+
+    def test_match_against_gt(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ls.match_against_gt(self.out, self.cands, self.bad, BEV16)
+
+    def test_head_set_loss(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ls.head_set_loss(self.out, self.cands, self.bad, BEV16, ls.LossWeights())
+
+    def test_heatmap_target(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ls.heatmap_target(self.bad, BEV16, 3)

@@ -212,6 +212,61 @@ class TestTensorContract:
         assert a.id != b.id
 
 
+class TestNanNamesOp:
+    def test_outside_tape(self):
+        with pytest.raises(NumericError, match=r"^log on inputs \(1,\): tensor contains NaN or Inf"):
+            nm.log(tensor([0.0]))
+
+    def test_on_tape_names_node_index(self):
+        with Tape() as tape:
+            nm.mul(tensor([2.0]), 3.0)
+            with pytest.raises(NumericError, match=r"^log on inputs \(1,\) at tape node 1: "):
+                nm.log(tensor([0.0]))
+        assert [node.op for node in tape.nodes] == ["mul_const"]
+
+
+CONSTANT_OPS = [("add", nm.add), ("sub", nm.sub), ("mul", nm.mul)]
+
+
+def _value_and_grad(op, a, other):
+    """op(a, other) and d sum(op(a, other) * w) / d a on a fresh tape."""
+    w = np.linspace(-1.5, 2.0, a.size).reshape(a.shape)
+    with Tape() as tape:
+        out = op(a, other)
+        backward(tape, nm.sum(nm.mul(out, w)))
+    return out.data, tape.grad(a).data
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("name,op", CONSTANT_OPS, ids=[n for n, _ in CONSTANT_OPS])
+    def test_array_constant_matches_tensor_form(self, name, op):
+        rng = np.random.default_rng(3)
+        a, c = tensor(rng.normal(size=(3, 4))), rng.normal(size=(3, 4))
+        out, grad = _value_and_grad(op, a, c)
+        want_out, want_grad = _value_and_grad(op, a, Tensor(c))
+        assert np.array_equal(out, want_out) and np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("name,op", CONSTANT_OPS, ids=[n for n, _ in CONSTANT_OPS])
+    def test_node_records_only_the_tensor_input(self, name, op):
+        a = tensor([[1.0, -2.0, 3.0]])
+        with Tape() as tape:
+            op(a, np.array([[0.5, 0.25, -4.0]]))
+        assert [node.input_ids for node in tape.nodes] == [(a.id,)]
+
+    @pytest.mark.parametrize("left", [1.0, np.array([[0.5, -3.0], [2.0, 7.25]])], ids=["number", "array"])
+    def test_constant_on_the_left_of_sub(self, left):
+        p = tensor([[0.2, 0.9], [1e-7, 0.5]])
+        out, grad = _value_and_grad(lambda x, c: nm.sub(c, x), p, left)
+        tensor_left = Tensor(np.broadcast_to(left, p.shape))
+        want_out, want_grad = _value_and_grad(lambda x, c: nm.sub(c, x), p, tensor_left)
+        assert np.array_equal(out, want_out) and np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("name,op", CONSTANT_OPS, ids=[n for n, _ in CONSTANT_OPS])
+    def test_constant_shape_must_match_exactly(self, name, op):
+        with pytest.raises(DimensionError, match=rf"^{name}: .*\(1, 3\) vs \(3,\)"):
+            op(tensor([[1.0, 2.0, 3.0]]), np.zeros(3))
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
