@@ -19,6 +19,8 @@ import numpy as np
 from . import numerics as nm
 from .numerics import DimensionError, LinearParams, Tensor
 
+MAX_CELLS = 1 << 27  # largest voxel grid a VoxelConfig accepts
+
 
 @dataclass(frozen=True)
 class VoxelConfig:
@@ -29,15 +31,14 @@ class VoxelConfig:
     y_max: float
     z_min: float
     z_max: float
-    max_cells: int = 1 << 26
 
     def __post_init__(self):
         if any(s <= 0 for s in self.size):
             raise ValueError("voxel sizes must be positive")
         if self.x_max <= self.x_min or self.y_max <= self.y_min or self.z_max <= self.z_min:
             raise ValueError("voxel range must be non-empty on every axis")
-        if self.counts[0] * self.counts[1] * self.counts[2] > self.max_cells:
-            raise ValueError("voxel grid exceeds the configured cell cap")
+        if self.counts[0] * self.counts[1] * self.counts[2] > MAX_CELLS:
+            raise ValueError(f"voxel grid {self.counts} exceeds the cap of {MAX_CELLS} cells")
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -62,7 +63,6 @@ def full_scale_voxel_config() -> VoxelConfig:
         y_max=54.0,
         z_min=-5.0,
         z_max=3.0,
-        max_cells=1 << 27,
     )
 
 
@@ -120,6 +120,11 @@ def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
     c_m = params.out.out_dim
     if params.hidden.in_dim != 5:
         raise DimensionError("voxel encoder expects 5 input features")
+    if 8 * X * Y * Z * c_m > 1 << 30:
+        raise DimensionError(
+            f"encode_voxels: dense middle tensor {[X, Y, Z, c_m]} needs {8 * X * Y * Z * c_m:,} "
+            "bytes, over the 1 GiB limit"
+        )
     feats = Tensor(vg.means)
     flat_idx = np.ravel_multi_index(vg.occupied.T, (X, Y, Z))
     encoded = nm.linear(nm.relu(nm.linear(feats, params.hidden)), params.out)

@@ -238,11 +238,8 @@ def match_against_gt(
     mean absolute difference between encoded boxes.
     """
     _check_class_ids(gt_boxes, output.class_logits.shape[1])
-    k, g = cands.k, len(gt_boxes)
-    if k == 0 or g == 0:
-        return MatchResult((), tuple(range(k)), tuple(range(g)), 0.0)
     probs = np.clip(nm._sigmoid(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    cost = np.zeros((k, g))
+    cost = np.zeros((cands.k, len(gt_boxes)))
     for gi, gt in enumerate(gt_boxes):
         p = probs[:, gt.class_id]
         cls_cost = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)

@@ -6,6 +6,10 @@ immutable values; gradients live in the tape, keyed by tensor id, not on
 the tensors themselves. Running ops outside any ``with Tape()`` block is
 the tape-free inference path.
 
+backward() keeps the gradients of the tape's leaves only, the tensors no node
+on the tape produced (parameters, input data); each intermediate gradient is
+checked for NaN/Inf and dropped once the node that produced it has read it.
+
 An operand of add, sub or mul that is not a Tensor is a constant: a number,
 or a float64 array of exactly the other operand's shape (no broadcasting; a
 mismatch raises DimensionError naming both shapes). A constant is no tape
@@ -158,27 +162,34 @@ class Tape:
         )
 
     def grad(self, t: Tensor) -> Tensor:
-        """Gradient of the last backward() wrt t; zeros if unreachable."""
+        """Gradient of the last backward() wrt the leaf t; zeros if unreachable.
+        A tensor that a node on this tape produced has none: ValueError."""
         g = self.gradients.get(t.id)
-        if g is None:
-            return Tensor(np.zeros(t.shape))
-        return g
+        if g is None and any(node.output_id == t.id for node in self.nodes):
+            raise ValueError(f"{t!r} was produced on this tape; only leaves keep a gradient")
+        return Tensor(np.zeros(t.shape)) if g is None else g
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Populate tape.gradients for everything reachable from a scalar loss."""
+    """Set tape.gradients to the gradient of a scalar loss wrt each reachable leaf.
+
+    One reverse sweep: each node pops its output's gradient, checks it is finite
+    (NumericError names the op and node index; numpy's overflow warnings are
+    muted for this) and adds its input gradients; only the leaves' remain.
+    """
     if loss.size != 1:
         raise DimensionError("backward requires a scalar loss")
     raw: dict[int, np.ndarray] = {loss.id: np.ones(loss.shape)}
-    for node in reversed(tape.nodes):
-        gout = raw.get(node.output_id)
-        if gout is None:
-            continue
-        for iid, gin in zip(node.input_ids, node.vjp(gout)):
-            if gin is None:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for index, node in reversed(list(enumerate(tape.nodes))):
+            gout = raw.pop(node.output_id, None)
+            if gout is None:
                 continue
-            acc = raw.get(iid)
-            raw[iid] = gin if acc is None else acc + gin
+            if not np.isfinite(gout).all():
+                raise NumericError(f"{node.op} at tape node {index}: gradient contains NaN or Inf")
+            for iid, gin in zip(node.input_ids, node.vjp(gout)):
+                if gin is not None:
+                    raw[iid] = raw[iid] + gin if iid in raw else gin
     tape.gradients = {k: Tensor(v) for k, v in raw.items()}
     return tape.gradients
 

@@ -127,19 +127,13 @@ def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> D
     hp, wp = cam.height // stride, cam.width // stride
     onehot = np.zeros((hp, wp, bins.count))
     mask = np.zeros((hp, wp))
-    if len(pc) == 0:
-        return DepthGroundTruth(onehot=onehot, mask=mask)
     uv, depth, ok = project_points(pc.points[:, :3], cam)
-    if not ok.any():
-        return DepthGroundTruth(onehot=onehot, mask=mask)
-    uv, depth = uv[ok], depth[ok]
-    px = np.floor(uv[:, 0] / stride).astype(np.int64)
-    py = np.floor(uv[:, 1] / stride).astype(np.int64)
-    flat = py * wp + px
+    px, py = np.floor(uv[ok] / stride).astype(np.int64).T
+    flat, depth = py * wp + px, depth[ok]
     # Nearest projecting point wins each feature pixel.
     order = np.lexsort((depth, flat))
     flat, depth = flat[order], depth[order]
-    first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    first = np.diff(flat, prepend=-1) != 0
     flat, depth = flat[first], depth[first]
     bin_idx, in_range = depth_to_bins(depth, bins)
     flat, bin_idx = flat[in_range], bin_idx[in_range]
@@ -302,10 +296,8 @@ def point_stream(
     n = bev_cfg.n
     c = hr_feats[0].shape[2]
     n_pts = len(pc)
-    if n_pts == 0:
-        return Tensor(np.zeros((n, n, c)))
     placements = []  # per seeing camera: (its index, seen points, their pixels)
-    acc = None
+    acc = np.zeros((n_pts, c))
     views = np.zeros(n_pts)
     for k, (feat, cam) in enumerate(zip(hr_feats, cams)):
         h, w, _ = feat.shape
@@ -316,19 +308,13 @@ def point_stream(
         if not ok.any():
             continue
         seen, pix = np.flatnonzero(ok), py[ok] * w + px[ok]
-        placed = np.zeros((n_pts, c))
-        placed[seen] = feat.data.reshape(h * w, c)[pix]
-        acc = placed if acc is None else acc + placed
+        acc[seen] += feat.data.reshape(h * w, c)[pix]
         views += ok
         placements.append((k, seen, pix))
-    if acc is None:
-        return Tensor(np.zeros((n, n, c)))
     inv_views = np.where(views > 0, 1.0 / np.maximum(views, 1), 0.0)
 
     gx, gy, in_range = bev_indices(pc.points[:, :2], bev_cfg)
     valid = np.flatnonzero((views > 0) & in_range)
-    if valid.size == 0:
-        return Tensor(np.zeros((n, n, c)))
     cells = gx[valid] * n + gy[valid]
     counts = np.bincount(cells, minlength=n * n).astype(np.float64)
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)

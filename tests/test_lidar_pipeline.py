@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ class TestVoxelConfig:
         with pytest.raises(ValueError, match="cap"):
             lp.VoxelConfig(size=(0.001, 0.001, 0.001), x_min=0, x_max=100,
                            y_min=0, y_max=100, z_min=0, z_max=100)
+
+    def test_full_scale_dense_middle_rejected_before_allocating(self):
+        start = time.perf_counter()
+        vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0]]), lp.full_scale_voxel_config())
+        message = r"\[1440, 1440, 40, 8\] needs 5,308,416,000 bytes"
+        with pytest.raises(nm.DimensionError, match=message):
+            lp.encode_voxels(vg, encoder(np.random.default_rng(0), c_m=8))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVoxelize:

@@ -310,6 +310,21 @@ class TestVectorisedEncode:
             assert np.array_equal(pr.encode_box_for_cell(box, cells, BEV16), stacked)
 
 
+class TestMatchEmptySide:
+    def test_no_candidates(self):
+        none = np.zeros(0, dtype=np.int64)
+        cands = pr.CandidateSet(np.zeros((0, 2), dtype=np.int64), none, np.zeros(0))
+        out = pr.HeadOutput(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, pr.BOX_DIM))), [])
+        match = ls.match_against_gt(out, cands, [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)], BEV16)
+        assert match == ls.MatchResult((), (), (0, 1), 0.0)
+
+    def test_no_ground_truth(self):
+        boxes = [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)]
+        cells = [bev_index(b.center[0], b.center[1], BEV16) for b in boxes]
+        out, cands = head_output_for(boxes, cells)
+        assert ls.match_against_gt(out, cands, [], BEV16) == ls.MatchResult((), (0, 1), (), 0.0)
+
+
 class TestVeryNegativeLogits:
     """exp(800) overflows float64; the shared sigmoid never forms it."""
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bevkit import numerics as nm
+from bevkit.layers import attention, attention_init, conv_block, conv_init, linear_init
+from bevkit.losses import focal_loss
 from bevkit.numerics import (
     DimensionError,
     LinearParams,
@@ -136,6 +138,56 @@ class TestBackward:
             loss = nm.sum(nm.mul(x, 3.0))
             backward(tape, loss)
         np.testing.assert_array_equal(tape.grad(y).data, [0.0])
+
+
+def _graph_loss(rng):
+    """Scalar loss of a small graph through conv_block, attention and focal_loss."""
+    image = tensor(rng.normal(size=(6, 6, 3)))
+    conv1, conv2 = conv_init(rng, 8, 3, 3, 1, 1), conv_init(rng, 8, 8, 3, 1, 1)
+    queries = tensor(rng.normal(size=(4, 8)))
+    attn, head = attention_init(rng, 8), linear_init(rng, 2, 8)
+    feats = nm.reshape(conv_block(image, conv1, conv2), (36, 8))
+    attended, _ = attention(queries, feats, attn)
+    probs = nm.sigmoid(nm.linear(attended, head))
+    return focal_loss(probs, rng.integers(0, 2, size=(4, 2)).astype(np.float64))
+
+
+class TestLeafGradients:
+    def test_keys_are_leaves_and_match_a_full_sweep(self):
+        with Tape() as tape:
+            loss = _graph_loss(np.random.default_rng(5))
+            backward(tape, loss)
+        # Reference: the same reverse sweep keeping every gradient it computes.
+        full = {loss.id: np.ones(loss.shape)}
+        for node in reversed(tape.nodes):
+            gout = full.get(node.output_id)
+            if gout is None:
+                continue
+            for iid, gin in zip(node.input_ids, node.vjp(gout)):
+                if gin is not None:
+                    full[iid] = gin if iid not in full else full[iid] + gin
+        produced = {node.output_id for node in tape.nodes}
+        leaves = {iid for node in tape.nodes for iid in node.input_ids} - produced
+        assert set(tape.gradients) == leaves
+        assert len(full) > len(leaves)
+        for k, g in tape.gradients.items():
+            assert np.array_equal(g.data, full[k])
+
+    def test_grad_of_intermediate_raises(self):
+        x = tensor([1.0, 2.0])
+        with Tape() as tape:
+            y = nm.mul(x, 3.0)
+            backward(tape, nm.sum(y))
+        with pytest.raises(ValueError, match="produced on this tape"):
+            tape.grad(y)
+        np.testing.assert_array_equal(tape.grad(x).data, [3.0, 3.0])
+
+    def test_non_finite_intermediate_gradient_names_op_and_node(self):
+        with Tape() as tape:
+            y = nm.log(nm.mul(tensor([1e-320]), 1.0))
+            assert np.isfinite(y.data).all()
+            with pytest.raises(NumericError, match=r"^mul_const at tape node 0: "):
+                backward(tape, y)
 
 
 class TestFiniteDiff:

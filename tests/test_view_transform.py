@@ -363,6 +363,24 @@ class TestPointStream:
         out = vt.point_stream(pc, [Tensor(np.ones((16, 16, 2)))], [cam], BEV16)
         assert np.all(out.data == 0.0)
 
+    @pytest.mark.parametrize("rows", [
+        np.zeros((0, 5)),  # empty cloud
+        [[0.0, 0.0, -3.0, 1.0, 0.0]],  # behind the camera
+        [[12.0, 0.0, 20.0, 1.0, 0.0]],  # seen at pixel (12.8, 8), outside the BEV
+    ], ids=["empty", "unseen", "out_of_range"])
+    def test_no_valid_point_zero_output_and_gradient(self, rows):
+        cam = geo.CameraParams(fx=8, fy=8, cx=8, cy=8, width=16, height=16,
+                               rotation=np.eye(3), translation=np.zeros(3))
+        pc = sc.PointCloud(np.asarray(rows, dtype=np.float64))
+        feat = Tensor(np.random.default_rng(17).normal(size=(16, 16, 2)))
+        weight = np.random.default_rng(18).normal(size=(16, 16, 2))
+        with Tape() as tape:
+            out = vt.point_stream(pc, [feat], [cam], BEV16)
+            backward(tape, nm.sum(nm.mul(out, weight)))
+        assert [node.op for node in tape.nodes] == ["point_stream", "mul_const", "sum"]
+        assert out.shape == (16, 16, 2) and np.all(out.data == 0.0)
+        assert np.all(tape.grad(feat).data == 0.0)
+
     def test_no_cameras_rejected(self):
         pc, _, _ = self.scene_inputs(np.random.default_rng(18), n_pts=3)
         with pytest.raises(nm.DimensionError, match="point_stream: no cameras"):
