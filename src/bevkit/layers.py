@@ -35,26 +35,35 @@ class Conv2dParams:
         return self.lin.out_dim
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """x [H, W, C_in] -> [H_out, W_out, C_out]; zero padding."""
-    if x.ndim != 3 or x.shape[2] != p.in_channels:
+def conv2d(x, p: Conv2dParams) -> Tensor:
+    """x [H, W, C_in] -> [H_out, W_out, C_out]; zero padding.
+
+    x that is not a Tensor is a constant, as for nm.add and nm.mul: the node's
+    inputs are only (weight, bias), and its VJP skips the input gradient.
+    """
+    const = not isinstance(x, Tensor)
+    data = np.asarray(x, dtype=np.float64) if const else x.data
+    if data.ndim != 3 or data.shape[2] != p.in_channels:
         raise DimensionError(
-            f"conv2d: input {x.shape} does not match {p.in_channels} channels"
+            f"conv2d: input {data.shape} does not match {p.in_channels} channels"
         )
-    h, w, c = x.shape
+    h, w, c = data.shape
     k, s, pad = p.kernel, p.stride, p.pad
     hp, wp = h + 2 * pad, w + 2 * pad
     oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: kernel {k} larger than padded input")
     padded = np.zeros((hp, wp, c))
-    padded[pad : pad + h, pad : pad + w] = x.data
+    padded[pad : pad + h, pad : pad + w] = data
     windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::s, ::s]
     patches = windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, k * k * c)  # (ky, kx, c)
     W, b = p.lin.weight.data, p.lin.bias.data
 
     def vjp(g):
         g2 = g.reshape(oh * ow, -1)
+        params = (g2.T @ patches, g2.sum(axis=0))
+        if const:
+            return params
         cols = (g2 @ W).reshape(oh, ow, k, k, c)
         grad = np.zeros((hp, wp, c))
         # A padded pixel's terms arrive in (oy, ox) order, i.e. ky and kx
@@ -62,10 +71,11 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         for ky in reversed(range(k)):
             for kx in reversed(range(k)):
                 grad[ky : ky + s * oh : s, kx : kx + s * ow : s] += cols[:, :, ky, kx]
-        return (grad[pad : pad + h, pad : pad + w], g2.T @ patches, g2.sum(axis=0))
+        return (grad[pad : pad + h, pad : pad + w],) + params
 
     out = (patches @ W.T + b).reshape(oh, ow, -1)
-    return nm._emit("conv2d", (x, p.lin.weight, p.lin.bias), out, (patches,), vjp)
+    inputs = (p.lin.weight, p.lin.bias) if const else (x, p.lin.weight, p.lin.bias)
+    return nm._emit("conv2d", inputs, out, (patches,), vjp)
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,8 @@ class ConvBlockParams:
     conv2: Conv2dParams
 
 
-def conv_block(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams) -> Tensor:
-    """conv2d -> relu -> conv2d."""
+def conv_block(x, conv1: Conv2dParams, conv2: Conv2dParams) -> Tensor:
+    """conv2d -> relu -> conv2d; x may be a constant array, as for conv2d."""
     return conv2d(nm.relu(conv2d(x, conv1)), conv2)
 
 

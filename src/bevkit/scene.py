@@ -3,10 +3,14 @@
 Scenes are yawed cuboids resting on the ground plane z = 0. The LiDAR and
 the camera renderer share one vectorized first-hit ray caster (slab test in
 each box frame, plus the ground plane), so the occlusion structure both
-sensors observe is identical by construction. The caster works box by box
-on component-major [3, N] rows; the box-frame transforms stay [N, 3] @ R
-matmuls, so its outputs are bit-identical to the row-major form of the same
-test. Everything is a pure function of the seed: same inputs, bit-identical
+sensors observe is identical by construction. The caster works box by box:
+a bounding-sphere cull (Kay & Kajiya, 1986) keeps only the rays whose line
+passes within the box's sphere, and the slab test runs on those, on
+component-major [3, N] rows; the box-frame transforms stay [N, 3] @ R
+matmuls. The cull cannot change a bit: the sphere contains the box, its
+margin covers rounding and the slab test's parallel rule, and a row subset
+goes through the same elementwise ops and matmul rows as the full arrays.
+Everything is a pure function of the seed: same inputs, bit-identical
 outputs.
 """
 
@@ -33,6 +37,13 @@ EGO_CLEARANCE = 1.2
 # Bounding circles farther apart than this (meters) hold footprints that are
 # certainly disjoint; far above the rounding of a footprint's corners.
 _CIRCLE_MARGIN = 1e-9
+
+# The slab test treats a box-frame direction component below this as 0.
+_PARALLEL = 1e-12
+
+# Relative widening of the ray-cull bounding spheres (see first_hits); far
+# above the rounding of the squared-distance test, ~1e-14 relative.
+_SPHERE_MARGIN = 1e-6
 
 
 class PlacementError(RuntimeError):
@@ -195,18 +206,32 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
 def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
     """First intersection of each ray with any box surface or the ground.
 
-    origins and dirs are [N, 3]. Returns (t, kind, normal): the ray
-    parameter (inf for misses), the hit kind (box class id, HIT_GROUND, or
-    HIT_NONE), and the world-space outward surface normal [N, 3]. dirs need
-    not be unit length; t is the parametric multiplier along each dir. A
-    box whose slab interval starts at or behind the origin (origin inside
-    it) is not hit; on equal t the earlier box in scene.boxes wins.
+    origins and dirs are finite [N, 3] arrays (ValueError otherwise). Returns
+    (t, kind, normal): the ray parameter (inf for misses), the hit kind (box
+    class id, HIT_GROUND, or HIT_NONE), and the world-space outward surface
+    normal [N, 3]. dirs need not be unit length; t is the parametric
+    multiplier along each dir. A box whose slab interval starts at or behind
+    the origin (origin inside it) is not hit; on equal t the earlier box in
+    scene.boxes wins.
 
-    Per box, the rays are moved into the box frame with the [N, 3] @ R
-    matmuls and then transposed to contiguous [3, N] rows, so every slab op
-    and the enter/exit reductions run over long rows. The matmuls are kept,
-    not written out per component, so the outputs are bit-identical to the
-    [N, 3] form of the same slab test.
+    Per box, a bounding-sphere cull first keeps the rays whose line passes
+    within the box's sphere (radius half the box diagonal), widened per ray
+    by _SPHERE_MARGIN * (1 m + A) + 6 * _PARALLEL * A / |d|, where A is the
+    norm of the ray's origin plus the farthest box reach (|centre| + radius).
+    Every point of a box lies in its sphere. The first term is far above the
+    rounding of the squared-distance test (~1e-14 A^2). The second covers
+    the slab test's parallel rule: it treats a box-frame direction component
+    under _PARALLEL as 0, so it can report a hit up to sqrt(6) (1 + sqrt(2))
+    * _PARALLEL * A / |d| off the true line. Rays with A or |d| past 1e150,
+    whose squares could overflow, are never culled, and neither is a ray
+    whose test gives NaN. So a culled ray cannot hit the box.
+
+    The slab test then runs on the candidates only: they are moved into the
+    box frame with the [N, 3] @ R matmuls and transposed to contiguous
+    [3, N] rows, so every slab op and the enter/exit reductions run over long
+    rows. Row subsets of those matmuls and of the elementwise ops give the
+    same bits as the full arrays, so the outputs are bit-identical to the
+    un-culled [N, 3] form of the same slab test.
     """
     origins = np.ascontiguousarray(origins, dtype=np.float64)
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
@@ -214,6 +239,10 @@ def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
         raise ValueError(f"origins must be [N, 3], got shape {origins.shape}")
     if dirs.shape != origins.shape:
         raise ValueError(f"dirs must match origins {origins.shape}, got shape {dirs.shape}")
+    for name, arr in (("origins", origins), ("dirs", dirs)):
+        if not np.isfinite(arr).all():
+            row = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+            raise ValueError(f"{name} must be finite, row {row} is {arr[row]}")
     n = origins.shape[0]
     t_best = np.full(n, np.inf)
     kind = np.full(n, HIT_NONE, dtype=np.int64)
@@ -229,10 +258,39 @@ def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
     kind[hit] = HIT_GROUND
     normal[hit] = (0.0, 0.0, 1.0)
 
-    for box in scene.boxes:
+    # Cull buffers shared by all boxes: unit dirs u, u.o, and |o|^2 less each
+    # ray's squared sphere widening; a ray past 1e150 gets an infinite one.
+    # The squared distance from a centre c to a ray's line is
+    # |o|^2 - 2 o.c + |c|^2 - (u.o - u.c)^2; a NaN (zero dir) keeps the ray.
+    radii = [0.5 * math.hypot(*box.size) for box in scene.boxes]
+    reach = max((math.hypot(*box.center) + r for box, r in zip(scene.boxes, radii)), default=0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dd = np.einsum("ij,ij->i", dirs, dirs)
+        length = np.sqrt(dd)
+        unit = dirs / length[:, None]
+        uo = np.einsum("ij,ij->i", unit, origins)
+        oo = np.einsum("ij,ij->i", origins, origins)
+        scale = np.sqrt(oo) + reach
+        widen = _SPHERE_MARGIN * (1.0 + scale) + 6.0 * _PARALLEL * scale / length
+        slack = (2.0 * max(radii, default=0.0) + widen) * widen
+        base = oo - np.where((scale < 1e150) & (dd < 1e300), slack, np.inf)
+    up = np.empty(n)
+    dist2 = np.empty(n)
+    far = np.empty(n, dtype=bool)
+
+    for box, radius in zip(scene.boxes, radii):
+        c = box.center
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(uo, np.dot(unit, c, out=up), out=up)
+            np.subtract(base, np.dot(origins, 2.0 * c, out=dist2), out=dist2)
+            dist2 -= np.square(up, out=up)
+            np.greater(dist2, radius * radius - c @ c, out=far)
+        cand = np.flatnonzero(~far)
+        if cand.size == 0:
+            continue
         R = rotation_z(box.yaw)  # box -> world
-        o_b = np.ascontiguousarray(((origins - box.center) @ R).T)
-        d_b = np.ascontiguousarray((dirs @ R).T)
+        o_b = np.ascontiguousarray(((origins[cand] - box.center) @ R).T)
+        d_b = np.ascontiguousarray((dirs[cand] @ R).T)
         half = (box.size / 2.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d_b
@@ -241,22 +299,23 @@ def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
             lo = np.minimum(t1, t2)
             hi = np.maximum(t1, t2)
         # Rays parallel to a slab: inside -> unconstrained, outside -> miss.
-        par = np.abs(d_b) < 1e-12
+        par = np.abs(d_b) < _PARALLEL
         inside = np.abs(o_b) <= half
         lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
         hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
         t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
         t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
-        ok = (t_enter <= t_exit) & (t_enter > _RAY_EPS) & (t_enter < t_best)
+        ok = (t_enter <= t_exit) & (t_enter > _RAY_EPS) & (t_enter < t_best[cand])
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
         axis = np.argmax(lo[:, idx], axis=0)
         n_b = np.zeros((idx.size, 3))
         n_b[np.arange(idx.size), axis] = -np.sign(d_b[axis, idx])
-        t_best[idx] = t_enter[idx]
-        kind[idx] = box.class_id
-        normal[idx] = n_b @ R.T
+        rays = cand[idx]
+        t_best[rays] = t_enter[idx]
+        kind[rays] = box.class_id
+        normal[rays] = n_b @ R.T
 
     return t_best, kind, normal
 

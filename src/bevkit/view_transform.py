@@ -61,14 +61,19 @@ CameraEncoderParams = ConvBlockParams  # conv1 at stride s, conv2 at stride 1
 
 
 def camera_encode(image, params: CameraEncoderParams) -> Tensor:
-    """Image [H, W, C] -> low-resolution feature [H/s, W/s, C_f]."""
-    img = image if isinstance(image, Tensor) else Tensor(image)
+    """Image [H, W, C] -> low-resolution feature [H/s, W/s, C_f].
+
+    An image array is a constant to conv2d (no tape input, no gradient); a
+    non-finite one raises NumericError.
+    """
     s = params.conv1.stride
-    if img.shape[0] % s or img.shape[1] % s:
+    if image.shape[0] % s or image.shape[1] % s:
         raise DimensionError(
-            f"camera_encode: {img.shape[:2]} not divisible by stride {s}"
+            f"camera_encode: {image.shape[:2]} not divisible by stride {s}"
         )
-    return conv_block(img, params.conv1, params.conv2)
+    if not isinstance(image, Tensor) and not np.isfinite(image).all():
+        raise nm.NumericError(f"camera_encode: image {image.shape} contains NaN or Inf")
+    return conv_block(image, params.conv1, params.conv2)
 
 
 def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int = 2) -> Tensor:

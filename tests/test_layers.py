@@ -91,6 +91,20 @@ class TestConv2d:
             conv2d(x, p)
         assert [n.op for n in tape.nodes] == ["conv2d"]
 
+    def test_constant_input_records_weight_and_bias_only(self, k, stride, pad, shape):
+        x, p, rng = conv_case(k, stride, pad, shape)
+        r = rng.normal(size=conv2d(x, p).shape)
+        y_ref, (_, gw_ref, gb_ref) = grads(conv2d, x, p, r)
+        with Tape() as tape:
+            y = conv2d(x.data, p)
+            (node,) = tape.nodes
+            backward(tape, weighted_sum(y, r))
+        assert node.op == "conv2d" and node.input_ids == (p.lin.weight.id, p.lin.bias.id)
+        assert len(node.vjp(r)) == 2
+        assert np.array_equal(y.data, y_ref.data)
+        assert np.array_equal(tape.grad(p.lin.weight).data, gw_ref)
+        assert np.array_equal(tape.grad(p.lin.bias).data, gb_ref)
+
 
 def test_stride_two_leaves_unused_input_rows_without_gradient():
     x, p, rng = conv_case(3, 2, 0, (8, 6, 3))

@@ -309,6 +309,85 @@ def camera_rays(cam):
     return d_cam.reshape(-1, 3) @ cam.rotation
 
 
+def unculled_first_hits(origins, dirs, scene):
+    """first_hits as it was before the sphere cull: the slab test on every ray for every box."""
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    dirs = np.ascontiguousarray(dirs, dtype=np.float64)
+    n = origins.shape[0]
+    t_best = np.full(n, np.inf)
+    kind = np.full(n, sc.HIT_NONE, dtype=np.int64)
+    normal = np.zeros((n, 3))
+
+    # Ground plane z = 0, only reachable from above going down.
+    dz = dirs[:, 2]
+    oz = origins[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = np.where(dz < -1e-12, -oz / dz, np.inf)
+    hit = (t_ground > sc._RAY_EPS) & (t_ground < t_best) & (oz > 0)
+    t_best[hit] = t_ground[hit]
+    kind[hit] = sc.HIT_GROUND
+    normal[hit] = (0.0, 0.0, 1.0)
+
+    for b in scene.boxes:
+        R = geo.rotation_z(b.yaw)  # box -> world
+        o_b = np.ascontiguousarray(((origins - b.center) @ R).T)
+        d_b = np.ascontiguousarray((dirs @ R).T)
+        half = (b.size / 2.0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d_b
+            t1 = (-half - o_b) * inv
+            t2 = (half - o_b) * inv
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+        # Rays parallel to a slab: inside -> unconstrained, outside -> miss.
+        par = np.abs(d_b) < 1e-12
+        inside = np.abs(o_b) <= half
+        lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+        hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+        t_enter = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+        t_exit = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
+        ok = (t_enter <= t_exit) & (t_enter > sc._RAY_EPS) & (t_enter < t_best)
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
+            continue
+        axis = np.argmax(lo[:, idx], axis=0)
+        n_b = np.zeros((idx.size, 3))
+        n_b[np.arange(idx.size), axis] = -np.sign(d_b[axis, idx])
+        t_best[idx] = t_enter[idx]
+        kind[idx] = b.class_id
+        normal[idx] = n_b @ R.T
+
+    return t_best, kind, normal
+
+
+def assert_same_as_unculled(origins, dirs, scene):
+    """first_hits equals the un-culled slab test bit for bit; returns its (t, kind, normal)."""
+    got = sc.first_hits(origins, dirs, scene)
+    want = unculled_first_hits(origins, dirs, scene)
+    for name, a, b in zip(("t", "kind", "normal"), got, want):
+        assert np.array_equal(a, b), f"{name} differs on {np.count_nonzero(a != b)} entries"
+    return got
+
+
+def box_points(b, unit_coords):
+    """World points c + R (u * size / 2) for box-frame coordinates u in [-1, 1]^3."""
+    return b.center + (np.asarray(unit_coords) * b.size / 2.0) @ geo.rotation_z(b.yaw).T
+
+
+CORNERS = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+
+
+def corners_and_edges(b, rng, per_edge=4):
+    """The 8 corners of b and points along each of its 12 edges, edge midpoints included."""
+    points = [CORNERS]
+    for axis in range(3):
+        for corner in CORNERS[CORNERS[:, axis] < 0]:
+            along = np.repeat(corner[None], per_edge + 1, axis=0)
+            along[:, axis] = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, per_edge)])
+            points.append(along)
+    return box_points(b, np.concatenate(points))
+
+
 @pytest.mark.filterwarnings("error")
 class TestFirstHits:
     def test_lidar_rays_match_reference(self):
@@ -389,6 +468,129 @@ class TestFirstHits:
     def test_ray_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"dirs must match origins \(2, 3\), got shape \(5, 3\)"):
             sc.first_hits(np.zeros((2, 3)), np.ones((5, 3)), Scene(boxes=(), seed=0))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_desk_lidar_sweep_same_as_unculled(self, seed):
+        scene = sc.generate_scene(8, DESK, seed=seed)
+        dirs = lidar_rays(360, sc.default_elevations(16))
+        _, kind, _ = assert_same_as_unculled(np.broadcast_to(sc.default_lidar_origin(), dirs.shape), dirs, scene)
+        assert (kind >= 0).sum() > 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_lidar_sweep_same_as_unculled(self, seed):
+        scene = sc.generate_scene(16, BEVConfig(-8.0, 8.0, -8.0, 8.0, 64), seed=seed)
+        dirs = lidar_rays(1024, sc.default_elevations(32))
+        _, kind, _ = assert_same_as_unculled(np.broadcast_to(sc.default_lidar_origin(), dirs.shape), dirs, scene)
+        assert (kind >= 0).sum() > 1000
+
+    @pytest.mark.parametrize("cam_index", [0, 1])
+    def test_rig_cameras_same_as_unculled(self, cam_index):
+        cam = sc.default_rig()[cam_index]
+        for seed in (6, 7):
+            scene = sc.generate_scene(8, DESK, seed=seed)
+            dirs = camera_rays(cam)
+            assert_same_as_unculled(np.broadcast_to(cam.center, dirs.shape), dirs, scene)
+
+    def test_rays_at_corners_and_edges_same_as_unculled(self):
+        rng = np.random.default_rng(11)
+        scene = Scene(
+            boxes=(
+                box([3.0, 0.0, 0.5], cls=1),
+                box([3.0, 3.0, 0.8], size=(2.4, 0.8, 1.6), yaw=0.7, cls=2),
+                box([-2.0, 2.5, 0.4], size=(1.2, 1.6, 0.8), yaw=-2.1, cls=3),
+                box([0.5, -3.0, 1.0], size=(1e-3, 2.0, 2.0), yaw=0.3, cls=4),
+            ),
+            seed=0,
+        )
+        targets = np.concatenate([corners_and_edges(b, rng) for b in scene.boxes])
+        outside = np.column_stack([rng.uniform(-9, 9, (6, 2)), rng.uniform(0.1, 3.0, 6)])
+        inside = np.concatenate([box_points(b, rng.uniform(-0.9, 0.9, (2, 3))) for b in scene.boxes])
+        for origin in np.concatenate([outside, inside]):
+            dirs = (targets - origin) * rng.uniform(0.01, 100.0, (len(targets), 1))
+            assert_same_as_unculled(np.broadcast_to(origin, dirs.shape), dirs, scene)
+        _, kind, _ = assert_same_as_unculled(
+            np.broadcast_to(outside[0], targets.shape), targets - outside[0], scene
+        )
+        assert (kind >= 0).sum() > len(targets) // 4
+
+    def test_rays_tangent_to_the_sphere_at_corners_same_as_unculled(self):
+        # A corner lies on its box's bounding sphere, so a line through it
+        # at right angles to the radius touches the sphere only there: the
+        # cull's margin decides the rays the slab test reports as corner hits.
+        rng = np.random.default_rng(16)
+        scene = Scene(
+            boxes=(box([3.0, 0.0, 0.5], cls=1), box([3.0, 3.0, 0.8], size=(2.4, 0.8, 1.6), yaw=0.7, cls=2)),
+            seed=0,
+        )
+        corner_hits = 0
+        for b in scene.boxes:
+            for corner in box_points(b, CORNERS):
+                radial = corner - b.center
+                dirs = rng.normal(size=(200, 3))
+                dirs -= np.outer(dirs @ radial, radial) / (radial @ radial)
+                dirs *= 10.0 ** rng.uniform(-3.0, 6.0, (200, 1))
+                origins = corner - dirs * rng.uniform(0.2, 3.0, (200, 1))
+                _, kind, _ = assert_same_as_unculled(origins, dirs, scene)
+                corner_hits += np.count_nonzero(kind >= 0)
+        assert corner_hits > 100
+
+    def test_zeroed_components_same_as_unculled(self):
+        rng = np.random.default_rng(12)
+        for seed in (8, 9):
+            scene = sc.generate_scene(8, DESK, seed=seed)
+            origins = np.column_stack([rng.uniform(-8, 8, (4000, 2)), rng.uniform(0.05, 2.5, 4000)])
+            dirs = rng.normal(size=(4000, 3))
+            dirs[rng.random((4000, 3)) < 0.1] = 0.0
+            _, kind, _ = assert_same_as_unculled(origins, dirs, scene)
+            assert (kind >= 0).sum() > 100
+
+    def test_direction_norms_from_1e_minus_150_to_1e150_same_as_unculled(self):
+        scene = sc.generate_scene(8, DESK, seed=13)
+        unit = lidar_rays(90, sc.default_elevations(16))
+        origins = np.broadcast_to(sc.default_lidar_origin(), unit.shape)
+        for exponent in range(-150, 151):
+            assert_same_as_unculled(origins, unit * 10.0**exponent, scene)
+
+    def test_parallel_rule_at_tiny_norms_same_as_unculled(self):
+        # Near |d| ~ 1e-11 some box-frame components fall under the slab
+        # test's 1e-12 parallel threshold and others do not, so it reports
+        # hits well off the true line; the cull must still keep them.
+        scene = sc.generate_scene(8, DESK, seed=14)
+        unit = lidar_rays(90, sc.default_elevations(16))
+        origins = np.broadcast_to(sc.default_lidar_origin(), unit.shape)
+        _, unit_kind, _ = sc.first_hits(origins, unit, scene)
+        off_line = 0
+        for norm in np.geomspace(1e-13, 1e-10, 31):
+            _, kind, _ = assert_same_as_unculled(origins, unit * norm, scene)
+            off_line += np.count_nonzero(kind != unit_kind)
+        assert off_line > 0
+
+    def test_far_from_the_world_origin_same_as_unculled(self):
+        shift = np.array([1e6, -3e5, 0.0])
+        near = sc.generate_scene(8, DESK, seed=15)
+        scene = Scene(
+            boxes=tuple(box(b.center + shift, b.size, b.yaw, cls=b.class_id) for b in near.boxes),
+            seed=0,
+        )
+        dirs = lidar_rays(360, sc.default_elevations(16))
+        _, kind, _ = assert_same_as_unculled(
+            np.broadcast_to(sc.default_lidar_origin() + shift, dirs.shape), dirs, scene
+        )
+        assert (kind >= 0).sum() > 100
+
+    def test_huge_coordinates_same_as_unculled(self):
+        scene = Scene(boxes=(box([3.0, 0.0, 0.5]), box([1e200, 0.0, 1.0], cls=2)), seed=0)
+        origins = np.array([[0.0, 0.0, 0.5], [1e160, 0.0, 0.5], [0.0, 0.0, 0.5]])
+        dirs = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1e160, 1.0, 0.0]])
+        assert_same_as_unculled(origins, dirs, scene)
+
+    @pytest.mark.parametrize("name", ["origins", "dirs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ray_rejected(self, name, bad):
+        rays = {"origins": np.zeros((5, 3)), "dirs": np.ones((5, 3))}
+        rays[name][3, 1] = bad
+        with pytest.raises(ValueError, match=rf"{name} must be finite, row 3 is"):
+            sc.first_hits(rays["origins"], rays["dirs"], Scene(boxes=(box([3.0, 0.0, 0.5]),), seed=0))
 
 
 class TestLidarScanInput:

@@ -45,6 +45,28 @@ class TestCameraEncode:
         with pytest.raises(nm.DimensionError):
             vt.camera_encode(np.zeros((15, 16, 4)), encoder_params(rng))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        img = np.zeros((16, 16, 4))
+        img[3, 5, 1] = bad
+        with pytest.raises(nm.NumericError, match=r"camera_encode: image \(16, 16, 4\) contains NaN or Inf"):
+            vt.camera_encode(img, encoder_params(np.random.default_rng(4)))
+
+    def test_image_is_a_constant_on_the_tape(self):
+        rng = np.random.default_rng(5)
+        p = encoder_params(rng)
+        img = rng.normal(size=(8, 8, 4))
+        with Tape() as tape:
+            out = vt.camera_encode(img, p)
+            backward(tape, nm.sum(out))
+        params = (p.conv1.lin.weight, p.conv1.lin.bias, p.conv2.lin.weight, p.conv2.lin.bias)
+        assert tape.nodes[0].input_ids == (params[0].id, params[1].id)
+        assert set(tape.gradients) == {t.id for t in params}
+        with Tape() as ref:
+            backward(ref, nm.sum(vt.camera_encode(Tensor(img), p)))
+        for t in params:
+            assert np.array_equal(tape.grad(t).data, ref.grad(t).data)
+
     def test_matches_convolution_loop_oracle(self):
         rng = np.random.default_rng(3)
         p = encoder_params(rng)
