@@ -2,8 +2,11 @@
 
 conv2d is one tape op: im2col over a strided window view of the zero-padded
 input, one affine map, and a VJP that adds the patch gradients back with
-k*k strided slice adds (col2im). Every other block is a composition of
-numerics ops, so all of them share one tape with the rest of the model.
+k*k strided slice adds (col2im). Its node keeps the padded input, not the
+k*k times larger patch matrix: the VJP rebuilds the patches from it with the
+same window view and copy, so the weight gradient's GEMM reads the same bits.
+Every other block is a composition of numerics ops, so all of them share one
+tape with the rest of the model.
 """
 
 from __future__ import annotations
@@ -35,11 +38,22 @@ class Conv2dParams:
         return self.lin.out_dim
 
 
+def _patches(padded: np.ndarray, k: int, s: int) -> np.ndarray:
+    """im2col of a padded [H, W, C] input: [H_out * W_out, k*k*C], rows in (ky, kx, c) order."""
+    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::s, ::s]
+    oh, ow = windows.shape[:2]
+    return windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, -1)
+
+
 def conv2d(x, p: Conv2dParams) -> Tensor:
     """x [H, W, C_in] -> [H_out, W_out, C_out]; zero padding.
 
     x that is not a Tensor is a constant, as for nm.add and nm.mul: the node's
     inputs are only (weight, bias), and its VJP skips the input gradient.
+    The node keeps the padded input [H+2p, W+2p, C_in], not the patch matrix,
+    which is about k*k times larger at stride 1. The VJP rebuilds the patches
+    with _patches, which copies the same elements into the same order, so
+    the weight gradient's GEMM reads the same bits as the forward's did.
     """
     const = not isinstance(x, Tensor)
     data = np.asarray(x, dtype=np.float64) if const else x.data
@@ -55,13 +69,11 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
         raise DimensionError(f"conv2d: kernel {k} larger than padded input")
     padded = np.zeros((hp, wp, c))
     padded[pad : pad + h, pad : pad + w] = data
-    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::s, ::s]
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, k * k * c)  # (ky, kx, c)
     W, b = p.lin.weight.data, p.lin.bias.data
 
     def vjp(g):
         g2 = g.reshape(oh * ow, -1)
-        params = (g2.T @ patches, g2.sum(axis=0))
+        params = (g2.T @ _patches(padded, k, s), g2.sum(axis=0))
         if const:
             return params
         cols = (g2 @ W).reshape(oh, ow, k, k, c)
@@ -73,9 +85,9 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
                 grad[ky : ky + s * oh : s, kx : kx + s * ow : s] += cols[:, :, ky, kx]
         return (grad[pad : pad + h, pad : pad + w],) + params
 
-    out = (patches @ W.T + b).reshape(oh, ow, -1)
+    out = (_patches(padded, k, s) @ W.T + b).reshape(oh, ow, -1)
     inputs = (p.lin.weight, p.lin.bias) if const else (x, p.lin.weight, p.lin.bias)
-    return nm._emit("conv2d", inputs, out, (patches,), vjp)
+    return nm._emit("conv2d", inputs, out, (padded,), vjp)
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,8 @@ def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
             f"encode_voxels: dense middle tensor {[X, Y, Z, c_m]} needs {8 * X * Y * Z * c_m:,} "
             "bytes, over the 1 GiB limit"
         )
-    feats = Tensor(vg.means)
     flat_idx = np.ravel_multi_index(vg.occupied.T, (X, Y, Z))
-    encoded = nm.linear(nm.relu(nm.linear(feats, params.hidden)), params.out)
+    encoded = nm.linear(nm.relu(nm.linear(vg.means, params.hidden)), params.out)
     dense = nm.scatter_add(encoded, flat_idx, X * Y * Z)
     return nm.reshape(dense, (X, Y, Z, c_m))
 

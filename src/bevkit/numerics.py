@@ -12,9 +12,10 @@ checked for NaN/Inf and dropped once the node that produced it has read it.
 
 An operand of add, sub or mul that is not a Tensor is a constant: a number,
 or a float64 array of exactly the other operand's shape (no broadcasting; a
-mismatch raises DimensionError naming both shapes). A constant is no tape
-input and gets no gradient, so targets, masks and weights never reach the
-tape or backward().
+mismatch raises DimensionError naming both shapes). The input of linear may
+be a constant array too. A constant is no tape input and gets no gradient,
+so targets, masks, weights and sensor data never reach the tape or
+backward().
 """
 
 from __future__ import annotations
@@ -270,22 +271,28 @@ class LinearParams:
         return self.weight.shape[0]
 
 
-def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """y[..., o] = sum_i x[..., i] W[o, i] + b[o], over the trailing axis."""
-    if x.ndim < 1 or x.shape[-1] != p.in_dim:
+def linear(x, p: LinearParams) -> Tensor:
+    """y[..., o] = sum_i x[..., i] W[o, i] + b[o], over the trailing axis.
+
+    x that is not a Tensor is a constant float64 array: the node's inputs are
+    only (weight, bias), and its VJP skips the input gradient g @ W.
+    """
+    const = not isinstance(x, Tensor)
+    xd = np.asarray(x, dtype=np.float64) if const else x.data
+    if xd.ndim < 1 or xd.shape[-1] != p.in_dim:
         raise DimensionError(
-            f"linear: trailing extent {x.shape[-1] if x.ndim else None} != in dim {p.in_dim}"
+            f"linear: trailing extent {xd.shape[-1] if xd.ndim else None} != in dim {p.in_dim}"
         )
     W, b = p.weight.data, p.bias.data
-    xd = x.data
     out = xd @ W.T + b
 
     def vjp(g):
         g2 = g.reshape(-1, p.out_dim)
-        x2 = xd.reshape(-1, p.in_dim)
-        return (g @ W, g2.T @ x2, g2.sum(axis=0))
+        params = (g2.T @ xd.reshape(-1, p.in_dim), g2.sum(axis=0))
+        return params if const else (g @ W,) + params
 
-    return _emit("linear", (x, p.weight, p.bias), out, (xd,), vjp)
+    inputs = (p.weight, p.bias) if const else (x, p.weight, p.bias)
+    return _emit("linear", inputs, out, (xd,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -112,7 +112,7 @@ def depth_net(lr_feat: Tensor, cam: CameraParams, params: DepthNetParams):
     intr = np.array(
         [cam.fx / cam.width, cam.fy / cam.height, cam.cx / cam.width, cam.cy / cam.height]
     )
-    emb = nm.linear(Tensor(intr.reshape(1, 4)), params.cam_embed)
+    emb = nm.linear(intr.reshape(1, 4), params.cam_embed)
     ones = Tensor(np.ones((hp * wp, 1)))
     tiled = nm.matmul(ones, emb)
     rows = nm.concat([nm.reshape(lr_feat, (hp * wp, cf)), tiled], axis=1)

@@ -105,6 +105,18 @@ class TestConv2d:
         assert np.array_equal(tape.grad(p.lin.weight).data, gw_ref)
         assert np.array_equal(tape.grad(p.lin.bias).data, gb_ref)
 
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_node_keeps_padded_input_not_patch_matrix(self, k, stride, pad, shape, constant):
+        x, p, _ = conv_case(k, stride, pad, shape)
+        with Tape() as tape:
+            conv2d(x.data if constant else x, p)
+        (node,) = tape.nodes
+        padded = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
+        assert len(node.saved) == 1 and np.array_equal(node.saved[0], padded)
+        held = list(node.saved) + [cell.cell_contents for cell in node.vjp.__closure__]
+        limit = max(padded.nbytes, p.lin.weight.data.nbytes)
+        assert all(a.nbytes <= limit for a in held if isinstance(a, np.ndarray))
+
 
 def test_stride_two_leaves_unused_input_rows_without_gradient():
     x, p, rng = conv_case(3, 2, 0, (8, 6, 3))

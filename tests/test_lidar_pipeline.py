@@ -231,3 +231,17 @@ def test_gradients_flow_to_encoder_params():
         nm.backward(tape, loss)
     for t in (p.hidden.weight, p.out.weight, proj.weight):
         assert np.any(tape.grad(t).data != 0.0)
+
+
+def test_voxel_features_are_a_constant_on_the_tape():
+    rng = np.random.default_rng(10)
+    pts = np.concatenate(
+        [rng.uniform(-3, 3, size=(20, 3)) + [0, 0, 1], rng.uniform(0, 1, size=(20, 2))],
+        axis=1,
+    )
+    p = encoder(rng)
+    with nm.Tape() as tape:
+        lp.encode_voxels(lp.voxelize(cloud(pts), DESK), p)
+    produced = {n.output_id for n in tape.nodes}
+    leaves = {i for n in tape.nodes for i in n.input_ids} - produced
+    assert leaves == {t.id for lin in (p.hidden, p.out) for t in (lin.weight, lin.bias)}

@@ -59,6 +59,27 @@ class TestLinear:
         p = LinearParams(tensor(np.eye(2)), tensor([0.0, 0.0]))
         with pytest.raises(DimensionError):
             nm.linear(tensor([1.0, 2.0, 3.0]), p)
+        with pytest.raises(DimensionError):
+            nm.linear(np.ones(3), p)
+
+    def test_constant_input_records_weight_and_bias_only(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 3, 4))
+        p = LinearParams(tensor(rng.normal(size=(5, 4))), tensor(rng.normal(size=5)))
+        r = rng.normal(size=(2, 3, 5))
+        with Tape() as ref:
+            y_ref = nm.linear(tensor(x), p)
+            backward(ref, nm.sum(nm.mul(y_ref, r)))
+        with Tape() as tape:
+            y = nm.linear(x, p)
+            (node,) = tape.nodes
+            backward(tape, nm.sum(nm.mul(y, r)))
+        assert node.op == "linear" and node.input_ids == (p.weight.id, p.bias.id)
+        assert len(node.vjp(r)) == 2
+        assert np.array_equal(y.data, y_ref.data)
+        assert set(tape.gradients) == {p.weight.id, p.bias.id}
+        for t in (p.weight, p.bias):
+            assert np.array_equal(tape.grad(t).data, ref.grad(t).data)
 
 
 class TestSoftmax:

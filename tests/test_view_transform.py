@@ -137,6 +137,19 @@ class TestDepthNet:
         np.testing.assert_allclose(ctx.data.reshape(16, 5), ctx_exp, atol=1e-12)
         np.testing.assert_allclose(dist.data.reshape(16, 4), dist_exp, atol=1e-12)
 
+    def test_intrinsics_are_a_constant_on_the_tape(self):
+        rng = np.random.default_rng(8)
+        p = depth_net_params(rng)
+        feat = Tensor(rng.normal(size=(4, 4, 6)))
+        with Tape() as tape:
+            vt.depth_net(feat, make_camera(), p)
+        produced = {n.output_id for n in tape.nodes}
+        leaves = {i for n in tape.nodes for i in n.input_ids} - produced
+        params = {t.id for lin in (p.cam_embed, p.context, p.depth) for t in (lin.weight, lin.bias)}
+        (tiling,) = leaves - params - {feat.id}
+        assert [n.input_ids[0] for n in tape.nodes if n.op == "matmul"] == [tiling]
+        assert params <= leaves
+
 
 BINS = DepthBins(1.0, 5.0, 4)
 
