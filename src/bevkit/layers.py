@@ -5,8 +5,9 @@ input, one affine map, and a VJP that adds the patch gradients back with
 k*k strided slice adds (col2im). Its node keeps the padded input, not the
 k*k times larger patch matrix: the VJP rebuilds the patches from it with the
 same window view and copy, so the weight gradient's GEMM reads the same bits.
-Every other block is a composition of numerics ops, so all of them share one
-tape with the rest of the model.
+conv_block_at gives conv_block's output at a few cells, computing both convs
+only on those cells' receptive field. Every other block is a composition of
+numerics ops, so all of them share one tape with the rest of the model.
 """
 
 from __future__ import annotations
@@ -99,6 +100,66 @@ class ConvBlockParams:
 def conv_block(x, conv1: Conv2dParams, conv2: Conv2dParams) -> Tensor:
     """conv2d -> relu -> conv2d; x may be a constant array, as for conv2d."""
     return conv2d(nm.relu(conv2d(x, conv1)), conv2)
+
+
+def _windows(centers: np.ndarray, k: int, h: int, w: int):
+    """Flat indices [M, k*k] of the k x k windows around centers [M, 2] of an
+    h x w grid, in (ky, kx) order, and where they fall inside it [M, k*k];
+    outside positions index 0."""
+    off = np.arange(k) - k // 2
+    gx = centers[:, 0, None, None] + off[:, None]
+    gy = centers[:, 1, None, None] + off[None, :]
+    inside = (gx >= 0) & (gx < h) & (gy >= 0) & (gy < w)
+    flat = np.where(inside, gx * w + gy, 0)
+    return flat.reshape(len(centers), k * k), inside.reshape(len(centers), k * k)
+
+
+def _window_patches(rows: Tensor, idx: np.ndarray, inside: np.ndarray) -> Tensor:
+    """Patch matrix [M, k*k*C] of rows [N, C] at window indices idx [M, k*k]:
+    rows outside the grid are multiplied by 0, conv2d's zero padding."""
+    c = rows.shape[1]
+    mask = np.repeat(inside.reshape(-1, 1), c, axis=1)
+    picked = nm.mul(nm.gather_rows(rows, idx.ravel()), mask)
+    return nm.reshape(picked, (idx.shape[0], idx.shape[1] * c))
+
+
+def conv_block_at(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams, cells) -> Tensor:
+    """conv_block(x, conv1, conv2) read at cells [K, 2] (row, column): [K, C_out].
+
+    conv1 runs only on the union of the cells' conv2 windows (at most
+    conv2.kernel**2 * K sites) and conv2 only on the K cells, each as one
+    linear over patch rows in conv2d's (ky, kx, c) order, so both read the
+    same Conv2dParams. Both convs must be stride 1 with an odd kernel and
+    pad kernel // 2, the padding under which conv_block keeps the grid size.
+    The values match conv_block's rows to rounding, not bit for bit: BLAS
+    may pick another GEMM kernel for a few rows than for the whole grid.
+    """
+    if x.ndim != 3 or x.shape[2] != conv1.in_channels:
+        raise DimensionError(
+            f"conv_block_at: input {x.shape} does not match {conv1.in_channels} channels"
+        )
+    for conv in (conv1, conv2):
+        if conv.stride != 1 or conv.kernel % 2 == 0 or conv.pad != conv.kernel // 2:
+            raise DimensionError(
+                f"conv_block_at: needs stride 1, an odd kernel and pad kernel // 2, got "
+                f"kernel {conv.kernel}, stride {conv.stride}, pad {conv.pad}"
+            )
+    cells = np.asarray(cells)
+    if cells.ndim != 2 or cells.shape[1] != 2 or not np.issubdtype(cells.dtype, np.integer):
+        raise DimensionError(f"conv_block_at: cells must be integer [K, 2], got {cells.shape}")
+    h, w, c = x.shape
+    if ((cells < 0) | (cells >= (h, w))).any():
+        raise DimensionError(f"conv_block_at: a cell lies outside the {h}x{w} grid")
+    flat2, inside2 = _windows(cells, conv2.kernel, h, w)
+    # A mask, not np.unique: its first call imports numpy.ma (~15 ms).
+    needed = np.zeros(h * w, dtype=bool)
+    needed[flat2[inside2]] = True
+    sites = np.flatnonzero(needed)
+    idx2 = np.searchsorted(sites, flat2)  # outside positions (flat 0) read row 0
+    flat1, inside1 = _windows(np.stack(np.divmod(sites, w), axis=1), conv1.kernel, h, w)
+    patches1 = _window_patches(nm.reshape(x, (h * w, c)), flat1, inside1)
+    hidden = nm.relu(nm.linear(patches1, conv1.lin))
+    return nm.linear(_window_patches(hidden, idx2, inside2), conv2.lin)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor contains NaN or Inf")
         arr.flags.writeable = False
         self.data = arr

@@ -4,9 +4,11 @@ Flow: the fused BEV feeds a class-aware heatmap; its top local maxima become
 candidates. A one-layer cross-attention decoder turns candidate cells into
 general features. Separately, unshared encoders over the camera and LiDAR
 BEVs produce per-candidate class and box features (joint self-attention over
-both modality token sets). A per-row modulation fuser combines general and
-task-specific features into the query each sub-task head consumes, so the
-classification and regression heads stop competing for one shared feature.
+both modality token sets); the encoders are evaluated only on the
+candidates' receptive field, never on the whole grid. A per-row modulation
+fuser combines general and task-specific features into the query each sub-task
+head consumes, so the classification and regression heads stop competing for
+one shared feature.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .layers import (
     FfnParams,
     attention,
     conv_block,
+    conv_block_at,
     ffn,
     sinusoidal_encoding,
 )
@@ -135,18 +138,16 @@ def task_specific_features(
 ):
     """Class and box features per candidate from unshared modality encoders.
 
-    Camera and LiDAR BEVs are re-encoded separately, sampled at the shared
-    candidate cells, fused across modalities by self-attention over the
-    2K-token sequence, and finally split through two unshared FFNs.
+    Camera and LiDAR BEVs each pass an unshared conv-relu-conv encoder read
+    at the shared candidate cells (layers.conv_block_at: evaluated only on
+    the candidates' receptive field), are fused across modalities by
+    self-attention over the 2K-token sequence, and are finally split
+    through two unshared FFNs.
     """
     if b_c.shape[:2] != b_l.shape[:2]:
         raise DimensionError("task features: camera and LiDAR BEV shapes differ")
-    enc_c = conv_block(b_c, params.cam_conv1, params.cam_conv2)
-    enc_l = conv_block(b_l, params.lidar_conv1, params.lidar_conv2)
-    X, Y, C = enc_c.shape
-    flat = cands.flat_cells(Y)
-    q_c = nm.gather_rows(nm.reshape(enc_c, (X * Y, C)), flat)
-    q_l = nm.gather_rows(nm.reshape(enc_l, (X * Y, C)), flat)
+    q_c = conv_block_at(b_c, params.cam_conv1, params.cam_conv2, cands.cells)
+    q_l = conv_block_at(b_l, params.lidar_conv1, params.lidar_conv2, cands.cells)
     tokens = nm.concat([q_c, q_l], axis=0)
     attended, _ = attention(tokens, tokens, params.attn)
     updated = nm.add(tokens, attended)

@@ -1,12 +1,13 @@
-"""conv2d as one tape op, and the segment sum under scatter_add / gather_rows."""
+"""conv2d as one tape op, conv_block_at against conv_block, and the segment sum
+under scatter_add / gather_rows."""
 
 import numpy as np
 import pytest
 
 from bevkit import numerics as nm
 from bevkit import oracles
-from bevkit.layers import Conv2dParams, conv2d, conv_init
-from bevkit.numerics import LinearParams, Tape, Tensor, backward, finite_diff_check
+from bevkit.layers import Conv2dParams, conv2d, conv_block, conv_block_at, conv_init
+from bevkit.numerics import DimensionError, LinearParams, Tape, Tensor, backward, finite_diff_check
 
 CASES = [(1, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0)]  # (kernel, stride, pad)
 # 7x5 is covered edge to edge at stride 2; at 8x6 the last padded row and
@@ -123,6 +124,94 @@ def test_stride_two_leaves_unused_input_rows_without_gradient():
     _, (gx, _, _) = grads(conv2d, x, p, rng.normal(size=(3, 2, 4)))
     assert not gx[7].any() and not gx[:, 5].any()
     assert gx[:7, :5].all()
+
+
+def block_case(k1, k2):
+    """x [7, 6, 3], conv1 3 -> 5 and conv2 5 -> 4 channels, stride 1 'same',
+    with random biases so the relu kinks vary."""
+    rng = np.random.default_rng(0)
+
+    def conv(o, i, k):
+        lin = conv_init(rng, o, i, k, 1, k // 2).lin
+        return Conv2dParams(LinearParams(lin.weight, Tensor(rng.normal(size=o))), k, 1, k // 2)
+
+    return Tensor(rng.normal(size=(7, 6, 3))), conv(5, 3, k1), conv(4, 5, k2), rng
+
+
+def dense_block_at(x, conv1, conv2, cells):
+    h, w, _ = x.shape
+    rows = nm.reshape(conv_block(x, conv1, conv2), (h * w, conv2.out_channels))
+    return nm.gather_rows(rows, cells[:, 0] * w + cells[:, 1])
+
+
+CELL_SETS = {
+    "corners": [[0, 0], [6, 5], [0, 5], [6, 0]],
+    "edges": [[0, 3], [4, 0], [6, 2], [3, 5]],
+    "interior": [[3, 2], [2, 3]],
+    "duplicate_and_adjacent": [[3, 3], [3, 3], [3, 4], [4, 4], [2, 3]],
+    "single": [[1, 4]],
+}
+
+
+@pytest.mark.parametrize("cells", CELL_SETS.values(), ids=CELL_SETS.keys())
+@pytest.mark.parametrize("k1,k2", [(3, 3), (1, 5), (5, 3)])
+class TestConvBlockAt:
+    def test_matches_conv_block_read_at_cells(self, k1, k2, cells):
+        x, conv1, conv2, _ = block_case(k1, k2)
+        cells = np.array(cells)
+        got = conv_block_at(x, conv1, conv2, cells)
+        want = dense_block_at(x, conv1, conv2, cells)
+        assert got.shape == (len(cells), 4)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    def test_gradients_match_conv_block(self, k1, k2, cells):
+        x, conv1, conv2, rng = block_case(k1, k2)
+        cells = np.array(cells)
+        r = rng.normal(size=(len(cells), 4))
+        leaves = (x, conv1.lin.weight, conv1.lin.bias, conv2.lin.weight, conv2.lin.bias)
+        found = []
+        for block in (conv_block_at, dense_block_at):
+            with Tape() as tape:
+                backward(tape, weighted_sum(block(x, conv1, conv2, cells), r))
+            found.append([tape.grad(t).data for t in leaves])
+        for got, want in zip(*found):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "k,stride,pad", [(3, 2, 1), (2, 1, 1), (4, 1, 2), (3, 1, 0), (3, 1, 2), (1, 1, 1)]
+)
+@pytest.mark.parametrize("which", [0, 1])
+def test_conv_block_at_rejects_convs_that_change_the_grid(k, stride, pad, which):
+    x, conv1, conv2, rng = block_case(3, 3)
+    bad = conv_init(rng, 5 if which == 0 else 4, 3 if which == 0 else 5, k, stride, pad)
+    convs = [conv1, conv2]
+    convs[which] = bad
+    with pytest.raises(DimensionError, match="stride 1, an odd kernel and pad kernel // 2"):
+        conv_block_at(x, *convs, np.array([[2, 2]]))
+
+
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        (np.array([2, 2]), "integer \\[K, 2\\]"),
+        (np.array([[2, 2, 0]]), "integer \\[K, 2\\]"),
+        (np.array([[2.0, 2.0]]), "integer \\[K, 2\\]"),
+        (np.array([[2, 2], [-1, 0]]), "outside the 7x6 grid"),
+        (np.array([[7, 0]]), "outside the 7x6 grid"),
+        (np.array([[0, 6]]), "outside the 7x6 grid"),
+    ],
+)
+def test_conv_block_at_rejects_bad_cells(cells, message):
+    x, conv1, conv2, _ = block_case(3, 3)
+    with pytest.raises(DimensionError, match=message):
+        conv_block_at(x, conv1, conv2, cells)
+
+
+def test_conv_block_at_rejects_a_channel_mismatch():
+    x, conv1, conv2, _ = block_case(3, 3)
+    with pytest.raises(DimensionError, match="does not match 3 channels"):
+        conv_block_at(Tensor(np.ones((7, 6, 4))), conv1, conv2, np.array([[2, 2]]))
 
 
 def spread(rng, shape):

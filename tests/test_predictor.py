@@ -238,6 +238,32 @@ class TestTaskSpecificFeatures:
         paired_dim = f_c.shape[1]
         assert f_c.shape == (2, paired_dim) and f_b.shape == (2, paired_dim)
 
+    def test_encoders_run_only_on_the_candidates_receptive_field(self):
+        class ShapeTape(nm.Tape):
+            def __init__(self):
+                super().__init__()
+                self.rows = {}
+
+            def record(self, op, inputs, output, saved, vjp):
+                super().record(op, inputs, output, saved, vjp)
+                self.rows[output.id] = output.shape[0]
+
+        rng = np.random.default_rng(9)
+        p = self.params(rng, c_in=4, c=4)
+        b_c = Tensor(rng.normal(size=(64, 64, 4)))
+        b_l = Tensor(rng.normal(size=(64, 64, 4)))
+        cands = make_cands([[0, 0], [30, 41], [63, 12]], [0, 1, 2], [0.9, 0.8, 0.7])
+        with ShapeTape() as tape:
+            pr.task_specific_features(b_c, b_l, cands, p)
+        assert "conv2d" not in {n.op for n in tape.nodes}
+        # The only full-grid nodes are the flattening views of the two inputs;
+        # every other node holds at most the 9*9 conv1 patch rows per candidate.
+        full = [n for n in tape.nodes if tape.rows[n.output_id] == 64 * 64]
+        assert sorted(n.input_ids for n in full) == [(b_c.id,), (b_l.id,)]
+        assert all(n.op == "reshape" for n in full)
+        full_ids = {n.output_id for n in full}
+        assert max(rows for out, rows in tape.rows.items() if out not in full_ids) <= 81 * 3
+
     def test_matches_replay_oracle(self):
         rng = np.random.default_rng(7)
         p = self.params(rng)
