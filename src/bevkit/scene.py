@@ -3,13 +3,16 @@
 Scenes are yawed cuboids resting on the ground plane z = 0. The LiDAR and
 the camera renderer share one vectorized first-hit ray caster (slab test in
 each box frame, plus the ground plane), so the occlusion structure both
-sensors observe is identical by construction. The caster works box by box:
-a bounding-sphere cull (Kay & Kajiya, 1986) keeps only the rays whose line
-passes within the box's sphere, and the slab test runs on those, on
-component-major [3, N] rows; the box-frame transforms stay [N, 3] @ R
-matmuls. The cull cannot change a bit: the sphere contains the box, its
-margin covers rounding and the slab test's parallel rule, and a row subset
-goes through the same elementwise ops and matmul rows as the full arrays.
+sensors observe is identical by construction. Each call casts its rays from
+one origin, the LiDAR's sensor origin or a camera centre, so every term of
+the origin is computed once per box, not once per ray. The caster works box
+by box: a bounding-sphere cull (Kay & Kajiya, 1986), in the origin's frame,
+keeps only the rays whose line passes within the box's sphere, and the slab
+test runs on those, on component-major [3, N] rows against one box-frame
+origin column; the box-frame dirs stay [N, 3] @ R matmuls. The cull cannot
+change a bit: the sphere contains the box, its margin covers rounding and
+the slab test's parallel rule, and a row subset goes through the same
+elementwise ops and matmul rows as the full arrays.
 Everything is a pure function of the seed: same inputs, bit-identical
 outputs.
 """
@@ -203,94 +206,98 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     return Scene(boxes=tuple(boxes), seed=seed, class_count=class_count)
 
 
-def first_hits(origins: np.ndarray, dirs: np.ndarray, scene: Scene):
-    """First intersection of each ray with any box surface or the ground.
+def first_hits(origin, dirs: np.ndarray, scene: Scene):
+    """First intersection of each ray from one origin with any box surface or the ground.
 
-    origins and dirs are finite [N, 3] arrays (ValueError otherwise). Returns
-    (t, kind, normal): the ray parameter (inf for misses), the hit kind (box
-    class id, HIT_GROUND, or HIT_NONE), and the world-space outward surface
-    normal [N, 3]. dirs need not be unit length; t is the parametric
-    multiplier along each dir. A box whose slab interval starts at or behind
-    the origin (origin inside it) is not hit; on equal t the earlier box in
-    scene.boxes wins.
+    origin is one finite 3-vector shared by every ray, dirs a finite [N, 3]
+    array (ValueError otherwise). Returns (t, kind, normal): the ray
+    parameter (inf for misses), the hit kind (box class id, HIT_GROUND, or
+    HIT_NONE), and the world-space outward surface normal [N, 3]. dirs need
+    not be unit length; t is the parametric multiplier along each dir. A box
+    whose slab interval starts at or behind the origin (origin inside it) is
+    not hit; on equal t the earlier box in scene.boxes wins.
 
     Per box, a bounding-sphere cull first keeps the rays whose line passes
-    within the box's sphere (radius half the box diagonal), widened per ray
-    by _SPHERE_MARGIN * (1 m + A) + 6 * _PARALLEL * A / |d|, where A is the
-    norm of the ray's origin plus the farthest box reach (|centre| + radius).
-    Every point of a box lies in its sphere. The first term is far above the
-    rounding of the squared-distance test (~1e-14 A^2). The second covers
-    the slab test's parallel rule: it treats a box-frame direction component
-    under _PARALLEL as 0, so it can report a hit up to sqrt(6) (1 + sqrt(2))
-    * _PARALLEL * A / |d| off the true line. Rays with A or |d| past 1e150,
-    whose squares could overflow, are never culled, and neither is a ray
-    whose test gives NaN. So a culled ray cannot hit the box.
+    within the box's sphere (centre c, radius r, half the box diagonal),
+    widened per ray by w = _SPHERE_MARGIN * (1 m + A) + 6 * _PARALLEL * A / |d|.
+    A = max(|c - origin| + r) over the boxes bounds the distance from the
+    origin to any box point. The cull works in the origin's frame: with
+    rel = origin - c and u the unit dir, the squared line distance is
+    |rel|^2 - (u.rel)^2, so a ray is culled when (u.rel)^2 + s < |rel|^2 - r^2.
+    Its s = (2 r_max + w) w, at least (r + w)^2 - r^2, is built once per
+    call, so a box costs a matvec, a square, an add and a compare. Every
+    point of a box lies in its sphere. The first term of w makes
+    s >= 1e-12 (1 + A)^2, far above the rounding of the test (~1e-14 A^2).
+    The second covers the slab test's parallel rule, which treats a box-frame
+    direction component under _PARALLEL as 0. The box point the test then
+    meets at t lies t * sqrt(2) * _PARALLEL off the true line at most, and
+    t |d| < 2 A when |d| >= 4 _PARALLEL, so it is 2 sqrt(2) _PARALLEL A / |d|
+    off at most; for shorter dirs w > A and no ray is culled. Rays with A or
+    |d| past 1e150, whose squares could overflow, are never culled, and
+    neither is a ray whose test gives NaN. So a culled ray cannot hit the box.
 
-    The slab test then runs on the candidates only: they are moved into the
-    box frame with the [N, 3] @ R matmuls and transposed to contiguous
-    [3, N] rows, so every slab op and the enter/exit reductions run over long
-    rows. Row subsets of those matmuls and of the elementwise ops give the
-    same bits as the full arrays, so the outputs are bit-identical to the
-    un-culled [N, 3] form of the same slab test.
+    The slab test then runs on the candidates only: their dirs go into the
+    box frame with an [n, 3] @ R matmul and are transposed to contiguous
+    [3, n] rows, so every slab op and the enter/exit reductions run over
+    long rows, against one (origin - c) @ R column for all of them. Row
+    subsets of that matmul and of the elementwise ops give the same bits as
+    the full arrays, so the outputs are bit-identical to the un-culled
+    per-ray [N, 3] form of the same slab test.
     """
-    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
-    if origins.ndim != 2 or origins.shape[1] != 3:
-        raise ValueError(f"origins must be [N, 3], got shape {origins.shape}")
-    if dirs.shape != origins.shape:
-        raise ValueError(f"dirs must match origins {origins.shape}, got shape {dirs.shape}")
-    for name, arr in (("origins", origins), ("dirs", dirs)):
-        if not np.isfinite(arr).all():
-            row = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
-            raise ValueError(f"{name} must be finite, row {row} is {arr[row]}")
-    n = origins.shape[0]
+    if origin.shape != (3,):
+        raise ValueError(f"origin must be one 3-vector for all rays, got shape {origin.shape}")
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise ValueError(f"dirs must be [N, 3], got shape {dirs.shape}")
+    if not np.isfinite(origin).all():
+        raise ValueError(f"origin must be finite, got {origin}")
+    if not np.isfinite(dirs).all():
+        row = np.flatnonzero(~np.isfinite(dirs).all(axis=1))[0]
+        raise ValueError(f"dirs must be finite, row {row} is {dirs[row]}")
+    n = dirs.shape[0]
     t_best = np.full(n, np.inf)
     kind = np.full(n, HIT_NONE, dtype=np.int64)
     normal = np.zeros((n, 3))
 
     # Ground plane z = 0, only reachable from above going down.
-    dz = dirs[:, 2]
-    oz = origins[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ground = np.where(dz < -1e-12, -oz / dz, np.inf)
-    hit = (t_ground > _RAY_EPS) & (t_ground < t_best) & (oz > 0)
-    t_best[hit] = t_ground[hit]
-    kind[hit] = HIT_GROUND
-    normal[hit] = (0.0, 0.0, 1.0)
+    if origin[2] > 0:
+        dz = dirs[:, 2]
+        with np.errstate(over="ignore", divide="ignore"):
+            t_ground = -origin[2] / dz
+        hit = (dz < -1e-12) & (t_ground > _RAY_EPS) & (t_ground < np.inf)
+        np.copyto(t_best, t_ground, where=hit)
+        np.copyto(kind, HIT_GROUND, where=hit)
+        np.copyto(normal[:, 2], 1.0, where=hit)
 
-    # Cull buffers shared by all boxes: unit dirs u, u.o, and |o|^2 less each
-    # ray's squared sphere widening; a ray past 1e150 gets an infinite one.
-    # The squared distance from a centre c to a ray's line is
-    # |o|^2 - 2 o.c + |c|^2 - (u.o - u.c)^2; a NaN (zero dir) keeps the ray.
+    # Cull set-up: component-major unit dirs and each ray's s, infinite past
+    # 1e150; per box, rel = origin - c and the bound |rel|^2 - r^2.
     radii = [0.5 * math.hypot(*box.size) for box in scene.boxes]
-    reach = max((math.hypot(*box.center) + r for box, r in zip(scene.boxes, radii)), default=0.0)
+    rels = [origin - box.center for box in scene.boxes]
+    reach = max((math.hypot(*rel) + r for rel, r in zip(rels, radii)), default=0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dd = np.einsum("ij,ij->i", dirs, dirs)
         length = np.sqrt(dd)
-        unit = dirs / length[:, None]
-        uo = np.einsum("ij,ij->i", unit, origins)
-        oo = np.einsum("ij,ij->i", origins, origins)
-        scale = np.sqrt(oo) + reach
-        widen = _SPHERE_MARGIN * (1.0 + scale) + 6.0 * _PARALLEL * scale / length
+        unit = np.ascontiguousarray(dirs.T) / length
+        widen = _SPHERE_MARGIN * (1.0 + reach) + 6.0 * _PARALLEL * reach / length
         slack = (2.0 * max(radii, default=0.0) + widen) * widen
-        base = oo - np.where((scale < 1e150) & (dd < 1e300), slack, np.inf)
-    up = np.empty(n)
-    dist2 = np.empty(n)
+        slack[(dd >= 1e300) | (reach >= 1e150)] = np.inf
+        bounds = [rel @ rel - r * r for rel, r in zip(rels, radii)]
+    proj = np.empty(n)
     far = np.empty(n, dtype=bool)
 
-    for box, radius in zip(scene.boxes, radii):
-        c = box.center
+    for box, rel, bound in zip(scene.boxes, rels, bounds):
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(uo, np.dot(unit, c, out=up), out=up)
-            np.subtract(base, np.dot(origins, 2.0 * c, out=dist2), out=dist2)
-            dist2 -= np.square(up, out=up)
-            np.greater(dist2, radius * radius - c @ c, out=far)
+            np.dot(rel, unit, out=proj)
+            np.square(proj, out=proj)
+            proj += slack
+            np.less(proj, bound, out=far)
         cand = np.flatnonzero(~far)
         if cand.size == 0:
             continue
         R = rotation_z(box.yaw)  # box -> world
-        o_b = np.ascontiguousarray(((origins[cand] - box.center) @ R).T)
-        d_b = np.ascontiguousarray((dirs[cand] @ R).T)
+        o_b = (rel @ R)[:, None]
+        d_b = np.ascontiguousarray((dirs.take(cand, axis=0) @ R).T)
         half = (box.size / 2.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d_b
@@ -328,8 +335,12 @@ def lidar_scan(
 ) -> PointCloud:
     """One return per ray at its first surface hit; misses produce nothing.
 
-    Rays sweep azimuth fastest within each elevation ring. Returned points
-    carry intensity 1 and timestamp offset 0.
+    Rays sweep azimuth fastest within each elevation ring: ray (i, j) has
+    direction (cos e_i cos a_j, cos e_i sin a_j, sin e_i), built as outer
+    products of the 1-D cosines and sines, and every ray starts at
+    sensor_origin, so the whole sweep is one first_hits call. elevation_angles
+    must be 1-D. Returned points are origin + t * d and carry intensity 1
+    and timestamp offset 0.
     """
     origin = np.asarray(sensor_origin, dtype=np.float64)
     if origin.shape != (3,) or not np.isfinite(origin).all():
@@ -341,17 +352,20 @@ def lidar_scan(
     if not isinstance(azimuth_count, (int, np.integer)) or azimuth_count < 1:
         raise ValueError(f"azimuth_count must be a positive integer, got {azimuth_count!r}")
     elevations = np.asarray(elevation_angles, dtype=np.float64)
+    if elevations.ndim != 1:
+        raise ValueError(f"elevation_angles must be 1-D, got shape {elevations.shape}")
     if not np.isfinite(elevations).all():
         raise ValueError(f"elevation_angles must be finite, got {elevations}")
     azimuths = 2.0 * np.pi * np.arange(azimuth_count) / azimuth_count
-    el, az = np.meshgrid(elevations, azimuths, indexing="ij")
-    dirs = np.stack(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1
-    ).reshape(-1, 3)
-    origins = np.broadcast_to(origin, dirs.shape)
-    t, kind, _ = first_hits(origins, dirs, scene)
+    ring = np.cos(elevations)[:, None]
+    dirs = np.empty((elevations.size, azimuth_count, 3))
+    dirs[..., 0] = ring * np.cos(azimuths)
+    dirs[..., 1] = ring * np.sin(azimuths)
+    dirs[..., 2] = np.sin(elevations)[:, None]
+    dirs = dirs.reshape(-1, 3)
+    t, kind, _ = first_hits(origin, dirs, scene)
     ok = kind != HIT_NONE
-    hits = origins[ok] + t[ok, None] * dirs[ok]
+    hits = origin + t[ok, None] * dirs[ok]
     pts = np.concatenate(
         [hits, np.ones((len(hits), 1)), np.zeros((len(hits), 1))], axis=1
     )
@@ -359,7 +373,7 @@ def lidar_scan(
 
 
 def render_camera(scene: Scene, cam: CameraParams, channels: int):
-    """Per-pixel ray cast through integer pixel coordinates.
+    """Per-pixel ray cast from the camera centre through integer pixel coordinates.
 
     Returns (features [H, W, C], depth [H, W]). Depth is the first-hit
     distance along the optical axis, +inf for sky. Features are a
@@ -376,11 +390,9 @@ def render_camera(scene: Scene, cam: CameraParams, channels: int):
         [(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones_like(u)], axis=-1
     ).reshape(-1, 3)
     d_world = d_cam @ cam.rotation  # R.T @ d for each row
-    center = cam.center
-    origins = np.broadcast_to(center, d_world.shape)
-    # dir has unit z in the camera frame, so the ray parameter equals the
-    # optical-axis depth directly.
-    t, kind, normal = first_hits(origins, d_world, scene)
+    # Every pixel ray starts at the camera centre. dir has unit z in the
+    # camera frame, so the ray parameter equals the optical-axis depth directly.
+    t, kind, normal = first_hits(cam.center, d_world, scene)
 
     depth = np.where(kind == HIT_NONE, np.inf, t).reshape(h, w)
     feats = np.zeros((h * w, channels))

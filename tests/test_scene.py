@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ class TestLidarScan:
         b = sc.lidar_scan(scene, sc.default_lidar_origin(), 64, sc.default_elevations(8))
         assert np.array_equal(a.points, b.points)
 
+    @pytest.mark.parametrize(
+        "beams, azimuths, boxes, bev",
+        [(16, 360, 8, DESK), (32, 1024, 16, BEVConfig(-8.0, 8.0, -8.0, 8.0, 64))],
+        ids=["desk", "dense"],
+    )
+    def test_points_equal_the_meshgrid_sweep_exactly(self, beams, azimuths, boxes, bev):
+        # lidar_scan builds its sweep from 1-D cosines and sines; the points
+        # must equal origin + t * d for the meshgrid sweep bit for bit.
+        origin = sc.default_lidar_origin()
+        elevations = sc.default_elevations(beams)
+        dirs = lidar_rays(azimuths, elevations)
+        for seed in (1, 2):
+            scene = sc.generate_scene(boxes, bev, seed=seed)
+            t, kind, _ = sc.first_hits(origin, dirs, scene)
+            hit = kind != sc.HIT_NONE
+            pc = sc.lidar_scan(scene, origin, azimuths, elevations)
+            assert np.array_equal(pc.points[:, :3], origin + t[hit, None] * dirs[hit])
+            assert (kind >= 0).sum() > 100
+
 
 def ground_camera(width=32, height=32):
     R, t = geo.look_at_pose([0, 0, 2.0], [4.0, 0.0, 0.0])
@@ -242,7 +262,7 @@ def test_lidar_camera_occlusion_consistency():
                 axis=1,
             )
             d_world = d_cam @ cam.rotation
-            t, kind, _ = sc.first_hits(np.broadcast_to(origin, d_world.shape), d_world, scene)
+            t, kind, _ = sc.first_hits(origin, d_world, scene)
             hit = kind != sc.HIT_NONE
             assert np.all(t[hit] <= depth[ok][hit] + 1e-6)
 
@@ -287,8 +307,23 @@ def slab_reference(origin, direction, scene):
     return best
 
 
+def first_hits_per_origin(origins, dirs, scene):
+    """first_hits on rays with per-ray origins [N, 3]: one call per distinct origin, in ray order."""
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    n = len(dirs)
+    t, kind, normal = np.full(n, np.inf), np.full(n, sc.HIT_NONE, dtype=np.int64), np.zeros((n, 3))
+    # Group by the origin's bytes, so 0.0 and -0.0 stay apart.
+    keys = origins.view(np.dtype((np.void, 3 * origins.itemsize))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    for group, row in enumerate(first):
+        rays = np.flatnonzero(which == group)
+        t[rays], kind[rays], normal[rays] = sc.first_hits(origins[row], dirs[rays], scene)
+    return t, kind, normal
+
+
 def check_against_reference(origins, dirs, scene):
-    t, kind, normal = sc.first_hits(origins, dirs, scene)
+    t, kind, normal = first_hits_per_origin(origins, dirs, scene)
     ref = [slab_reference(o, d, scene) for o, d in zip(origins, dirs)]
     np.testing.assert_array_equal(kind, [r[1] for r in ref])
     np.testing.assert_allclose(t, [r[0] for r in ref], rtol=0, atol=1e-12)
@@ -361,8 +396,8 @@ def unculled_first_hits(origins, dirs, scene):
 
 
 def assert_same_as_unculled(origins, dirs, scene):
-    """first_hits equals the un-culled slab test bit for bit; returns its (t, kind, normal)."""
-    got = sc.first_hits(origins, dirs, scene)
+    """first_hits, once per distinct origin, equals the un-culled slab test bit for bit; returns it."""
+    got = first_hits_per_origin(origins, dirs, scene)
     want = unculled_first_hits(origins, dirs, scene)
     for name, a, b in zip(("t", "kind", "normal"), got, want):
         assert np.array_equal(a, b), f"{name} differs on {np.count_nonzero(a != b)} entries"
@@ -457,17 +492,21 @@ class TestFirstHits:
 
     def test_no_rays(self):
         scene = sc.generate_scene(3, DESK, seed=24)
-        t, kind, normal = sc.first_hits(np.zeros((0, 3)), np.zeros((0, 3)), scene)
+        t, kind, normal = sc.first_hits(np.zeros(3), np.zeros((0, 3)), scene)
         assert t.shape == (0,) and kind.shape == (0,) and normal.shape == (0, 3)
         assert (t.dtype, kind.dtype, normal.dtype) == (np.float64, np.int64, np.float64)
 
-    def test_single_origin_vector_rejected(self):
-        with pytest.raises(ValueError, match=r"origins must be \[N, 3\], got shape \(3,\)"):
-            sc.first_hits(np.zeros(3), np.ones((5, 3)), Scene(boxes=(), seed=0))
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 3), (2,)], ids=["5x3", "1x3", "2"])
+    def test_origin_not_one_3_vector_rejected(self, shape):
+        shown = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"origin must be one 3-vector for all rays, got shape {shown}"):
+            sc.first_hits(np.zeros(shape), np.ones((5, 3)), Scene(boxes=(), seed=0))
 
-    def test_ray_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"dirs must match origins \(2, 3\), got shape \(5, 3\)"):
-            sc.first_hits(np.zeros((2, 3)), np.ones((5, 3)), Scene(boxes=(), seed=0))
+    @pytest.mark.parametrize("shape", [(3,), (5, 2), (2, 5, 3)], ids=["3", "5x2", "2x5x3"])
+    def test_dirs_not_n_by_3_rejected(self, shape):
+        shown = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"dirs must be \[N, 3\], got shape {shown}"):
+            sc.first_hits(np.zeros(3), np.ones(shape), Scene(boxes=(), seed=0))
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_desk_lidar_sweep_same_as_unculled(self, seed):
@@ -558,12 +597,33 @@ class TestFirstHits:
         scene = sc.generate_scene(8, DESK, seed=14)
         unit = lidar_rays(90, sc.default_elevations(16))
         origins = np.broadcast_to(sc.default_lidar_origin(), unit.shape)
-        _, unit_kind, _ = sc.first_hits(origins, unit, scene)
+        _, unit_kind, _ = sc.first_hits(sc.default_lidar_origin(), unit, scene)
         off_line = 0
         for norm in np.geomspace(1e-13, 1e-10, 31):
             _, kind, _ = assert_same_as_unculled(origins, unit * norm, scene)
             off_line += np.count_nonzero(kind != unit_kind)
         assert off_line > 0
+
+    def test_squares_leaving_the_float_range_same_as_unculled(self):
+        # Past ~1.3e154 a square overflows: a dir that long has a unit dir of
+        # 0 in the cull, and a box that far a squared distance of inf. Under
+        # ~1e-162 |d|^2 underflows and the unit dir is inf or NaN, but then
+        # every component is parallel to its slab and nothing is hit.
+        unit = lidar_rays(90, sc.default_elevations(16))
+        origins = np.broadcast_to(sc.default_lidar_origin(), unit.shape)
+        near = sc.generate_scene(8, DESK, seed=17)
+        for exponent in (-175, -170, -165, -163):
+            _, kind, _ = assert_same_as_unculled(origins, unit * 10.0**exponent, near)
+            assert (kind == sc.HIT_NONE).all()
+        # Dirs past 1e154 meet a box 4e148 m out (within 1e150) at t ~ 1e-7.
+        far = Scene(boxes=(box([4e148, 0.0, 0.0], size=(1e147, 4e148, 4e148), cls=2),), seed=0)
+        for exponent in (155, 156):
+            _, kind, _ = assert_same_as_unculled(origins, unit * 10.0**exponent, far)
+            assert (kind == 2).sum() > 20
+        # Unit dirs meet a box whose centre is 1.4e154 m out.
+        farther = Scene(boxes=(box([1.4e154, 0.0, 0.0], size=(1.5e154,) * 3, cls=3),), seed=0)
+        _, kind, _ = assert_same_as_unculled(origins, unit, farther)
+        assert (kind == 3).sum() > 20
 
     def test_far_from_the_world_origin_same_as_unculled(self):
         shift = np.array([1e6, -3e5, 0.0])
@@ -587,10 +647,16 @@ class TestFirstHits:
     @pytest.mark.parametrize("name", ["origins", "dirs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_ray_rejected(self, name, bad):
-        rays = {"origins": np.zeros((5, 3)), "dirs": np.ones((5, 3))}
-        rays[name][3, 1] = bad
-        with pytest.raises(ValueError, match=rf"{name} must be finite, row 3 is"):
-            sc.first_hits(rays["origins"], rays["dirs"], Scene(boxes=(box([3.0, 0.0, 0.5]),), seed=0))
+        # "origins" spoils the origin vector every ray shares, "dirs" row 3 of the dirs.
+        origin, dirs = np.zeros(3), np.ones((5, 3))
+        if name == "origins":
+            origin[1] = bad
+            match = r"origin must be finite, got \[ *0\. +-?(nan|inf) +0\. *\]"
+        else:
+            dirs[3, 1] = bad
+            match = r"dirs must be finite, row 3 is"
+        with pytest.raises(ValueError, match=match):
+            sc.first_hits(origin, dirs, Scene(boxes=(box([3.0, 0.0, 0.5]),), seed=0))
 
 
 class TestLidarScanInput:
@@ -611,6 +677,12 @@ class TestLidarScanInput:
     def test_nan_elevation_rejected(self):
         with pytest.raises(ValueError, match="elevation_angles must be finite"):
             sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], 16, [-0.2, np.nan])
+
+    @pytest.mark.parametrize("elevations", [[[-0.2, -0.1]], np.zeros((2, 3)), -0.2], ids=["1x2", "2x3", "scalar"])
+    def test_elevations_not_1d_rejected(self, elevations):
+        shown = re.escape(str(np.shape(elevations)))
+        with pytest.raises(ValueError, match=rf"elevation_angles must be 1-D, got shape {shown}"):
+            sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], 16, elevations)
 
 
 class TestPointCloudIO:
