@@ -116,11 +116,10 @@ def _windows(centers: np.ndarray, k: int, h: int, w: int):
 
 def _window_patches(rows: Tensor, idx: np.ndarray, inside: np.ndarray) -> Tensor:
     """Patch matrix [M, k*k*C] of rows [N, C] at window indices idx [M, k*k]:
-    rows outside the grid are multiplied by 0, conv2d's zero padding."""
-    c = rows.shape[1]
-    mask = np.repeat(inside.reshape(-1, 1), c, axis=1)
-    picked = nm.mul(nm.gather_rows(rows, idx.ravel()), mask)
-    return nm.reshape(picked, (idx.shape[0], idx.shape[1] * c))
+    only the in-grid positions are gathered and scattered into zero rows,
+    conv2d's zero padding, so the tape keeps integer indices, not a mask."""
+    picked = nm.scatter_add(nm.gather_rows(rows, idx[inside]), np.flatnonzero(inside), idx.size)
+    return nm.reshape(picked, (idx.shape[0], idx.shape[1] * rows.shape[1]))
 
 
 def conv_block_at(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams, cells) -> Tensor:
@@ -155,7 +154,7 @@ def conv_block_at(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams, cells) ->
     needed = np.zeros(h * w, dtype=bool)
     needed[flat2[inside2]] = True
     sites = np.flatnonzero(needed)
-    idx2 = np.searchsorted(sites, flat2)  # outside positions (flat 0) read row 0
+    idx2 = np.searchsorted(sites, flat2)  # outside positions are never gathered
     flat1, inside1 = _windows(np.stack(np.divmod(sites, w), axis=1), conv1.kernel, h, w)
     patches1 = _window_patches(nm.reshape(x, (h * w, c)), flat1, inside1)
     hidden = nm.relu(nm.linear(patches1, conv1.lin))

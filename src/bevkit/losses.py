@@ -1,4 +1,4 @@
-"""Detection losses and minimum-cost bipartite matching.
+"""Detector losses and minimum-cost bipartite matching.
 
 The matcher is an O(n^3) augmenting-path solver over row/column potentials.
 Among cost-tied optima it returns the lexicographically smallest pair list,

@@ -8,7 +8,8 @@ renormalized by 0.9. The composite score weights mAP five times against
 four true-positive error terms (translation, scale, orientation, velocity),
 each mapped through 1 - min(1, error). Attribute error has no synthetic
 counterpart here, so the denominator adapts: scores are comparable only
-within this artifact.
+within this artifact. The detector's heads come in as predictor.decode_detections'
+BoxRecord rows; this module imports nothing from bevkit.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ class BoxRecord:
             size=np.asarray(box.size, dtype=np.float64),
             yaw=float(box.yaw),
             velocity=np.asarray(box.velocity, dtype=np.float64),
-        )
-
-    @classmethod
-    def from_detection(cls, det):
-        return cls(
-            class_id=det.class_id,
-            score=det.score,
-            center=det.center,
-            size=det.size,
-            yaw=det.yaw,
-            velocity=det.velocity,
         )
 
 
@@ -183,10 +173,19 @@ def evaluate(
     AP is computed per class per threshold by pooling detections across
     scenes (matching stays within a scene); undefined (class, threshold)
     cells are excluded from the mean. TP error statistics come from matches
-    at the 2 m threshold across all classes.
+    at the 2 m threshold across all classes. A record whose class_id lies
+    outside [0, class_count) raises ValueError.
     """
     if len(det_scenes) != len(gt_scenes):
         raise ValueError("detections and ground truths must pair per scene")
+    for kind, scenes in (("detection", det_scenes), ("ground truth", gt_scenes)):
+        for si, records in enumerate(scenes):
+            for ri, rec in enumerate(records):
+                if not 0 <= rec.class_id < class_count:
+                    raise ValueError(
+                        f"scene {si}, {kind} {ri}: class_id {rec.class_id} is out of range "
+                        f"for {class_count} classes"
+                    )
     class_ap: dict[int, dict[float, float]] = {c: {} for c in range(class_count)}
     defined = []
     error_matches: list[tuple[BoxRecord, BoxRecord]] = []

@@ -8,7 +8,9 @@ both modality token sets); the encoders are evaluated only on the
 candidates' receptive field, never on the whole grid. A per-row modulation
 fuser combines general and task-specific features into the query each sub-task
 head consumes, so the classification and regression heads stop competing for
-one shared feature.
+one shared feature. The heads return raw arrays (HeadOutput), which is all
+the losses read; decode_detections turns them into metrics.BoxRecord rows
+for the evaluator, only when asked.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .layers import (
     ffn,
     sinusoidal_encoding,
 )
+from .metrics import BoxRecord
 from .numerics import DimensionError, LinearParams, Tensor
 
 BOX_DIM = 10  # dx, dy, z, log l, log w, log h, sin yaw, cos yaw, vx, vy
@@ -199,37 +202,22 @@ def task_specific_fuse(f_g: Tensor, f_s: Tensor, p: FuserParams) -> Tensor:
     return nm.linear(nm.concat([mod_s, mod_g], axis=1), p.out)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One predicted object: raw head outputs plus decoded world-frame box."""
-
-    cell: tuple[int, int]
-    class_id: int
-    score: float
-    class_logits: np.ndarray  # [N]
-    box_encoded: np.ndarray  # [BOX_DIM]
-    center: np.ndarray  # [3] world meters
-    size: np.ndarray  # [3] (l, w, h)
-    yaw: float
-    velocity: np.ndarray  # [2]
-
-
 def decode_box(cell, box: np.ndarray, bev_cfg: BEVConfig):
-    """Encoded 10-vector -> (center, size, yaw, velocity).
+    """Encoded box -> (center, size, yaw, velocity), at one cell (gx, gy) with
+    box [BOX_DIM] or at cells [K, 2] with boxes [K, BOX_DIM], as encode_box_for_cell.
 
-    Positional offsets are in cell units relative to the candidate cell's
-    center; sizes come back through exp; the yaw (sin, cos) pair is
-    normalized before atan2 (zero-norm decodes to yaw 0).
+    Positional offsets are in cell units relative to the cell's center;
+    sizes come back through exp; the yaw (sin, cos) pair is normalized
+    before atan2 (a zero-norm pair decodes to yaw 0 and is not divided by).
     """
-    cx, cy = bev_cfg.cell_center(int(cell[0]), int(cell[1]))
-    center = np.array(
-        [cx + box[0] * bev_cfg.cell_w, cy + box[1] * bev_cfg.cell_h, box[2]]
-    )
-    size = np.exp(box[3:6])
-    s, c = box[6], box[7]
+    cell = np.asarray(cell, dtype=np.int64)
+    cx, cy = bev_cfg.cell_center(cell[..., 0], cell[..., 1])
+    x, y = cx + box[..., 0] * bev_cfg.cell_w, cy + box[..., 1] * bev_cfg.cell_h
+    s, c = box[..., 6], box[..., 7]
     norm = np.hypot(s, c)
-    yaw = float(np.arctan2(s / norm, c / norm)) if norm > 1e-12 else 0.0
-    return center, size, yaw, np.array(box[8:10])
+    safe = np.where(norm > 1e-12, norm, 1.0)
+    yaw = np.where(norm > 1e-12, np.arctan2(s / safe, c / safe), 0.0)
+    return np.stack([x, y, box[..., 2]], axis=-1), np.exp(box[..., 3:6]), yaw, box[..., 8:10].copy()
 
 
 def encode_box_for_cell(gt_box, cell, bev_cfg: BEVConfig) -> np.ndarray:
@@ -253,45 +241,36 @@ class HeadParams:
 
 @dataclass(frozen=True)
 class HeadOutput:
-    """Tape tensors for the losses plus decoded detections for everything else."""
+    """Raw head outputs, one row per candidate; decode_detections decodes them."""
 
     class_logits: Tensor  # [K, N]
     boxes: Tensor  # [K, BOX_DIM]
-    detections: list[Detection]
-
-
-def _build_output(logits: Tensor, boxes: Tensor, cands: CandidateSet, bev_cfg: BEVConfig) -> HeadOutput:
-    dets = []
-    ld, bd = logits.data, boxes.data
-    classes = ld.argmax(axis=1)
-    scores = nm._sigmoid(ld[np.arange(cands.k), classes])
-    for i in range(cands.k):
-        center, size, yaw, vel = decode_box(cands.cells[i], bd[i], bev_cfg)
-        dets.append(
-            Detection(
-                cell=(int(cands.cells[i, 0]), int(cands.cells[i, 1])),
-                class_id=int(classes[i]),
-                score=float(scores[i]),
-                class_logits=ld[i].copy(),
-                box_encoded=bd[i].copy(),
-                center=center,
-                size=size,
-                yaw=yaw,
-                velocity=vel,
-            )
-        )
-    return HeadOutput(class_logits=logits, boxes=boxes, detections=dets)
 
 
 def subtask_heads(
     q_cls: Tensor, q_box: Tensor, params: HeadParams, cands: CandidateSet, bev_cfg: BEVConfig
 ) -> HeadOutput:
-    """Main heads: class FFN on the class query, box FFN on the box query."""
-    if q_cls.shape[0] != q_box.shape[0]:
-        raise DimensionError("subtask heads: query row counts differ")
-    logits = ffn(q_cls, params.classifier)
-    boxes = ffn(q_box, params.box)
-    return _build_output(logits, boxes, cands, bev_cfg)
+    """Main heads: class FFN on the class query, box FFN on the box query, one
+    row per candidate. bev_cfg is unused until the benchmark stops passing it."""
+    if not q_cls.shape[0] == q_box.shape[0] == cands.k:
+        raise DimensionError(
+            f"subtask heads: {q_cls.shape[0]} class and {q_box.shape[0]} box query rows "
+            f"for {cands.k} candidates"
+        )
+    return HeadOutput(ffn(q_cls, params.classifier), ffn(q_box, params.box))
+
+
+def decode_detections(output: HeadOutput, cands: CandidateSet, bev_cfg: BEVConfig) -> list[BoxRecord]:
+    """One BoxRecord per candidate, in candidate order: the argmax class, the
+    sigmoid of its logit as the score, and the decoded box."""
+    logits = output.class_logits.data
+    classes = logits.argmax(axis=1)
+    scores = nm._sigmoid(logits[np.arange(cands.k), classes])
+    center, size, yaw, velocity = decode_box(cands.cells, output.boxes.data, bev_cfg)
+    return [
+        BoxRecord(int(k), float(p), c, s, float(y), v)
+        for k, p, c, s, y, v in zip(classes, scores, center, size, yaw, velocity)
+    ]
 
 
 BevFuserParams = ConvBlockParams

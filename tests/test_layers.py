@@ -177,6 +177,22 @@ class TestConvBlockAt:
         for got, want in zip(*found):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_window_ops_save_integer_arrays_only(self, k1, k2, cells):
+        """The zero padding costs index arrays on the tape, not a float mask."""
+        x, conv1, conv2, _ = block_case(k1, k2)
+        with Tape() as tape:
+            conv_block_at(x, conv1, conv2, np.array(cells))
+        window = ["gather_rows", "scatter_add", "reshape"]
+        assert [n.op for n in tape.nodes] == ["reshape", *window, "linear", "relu", *window, "linear"]
+        held = [
+            obj
+            for node in tape.nodes
+            if node.op in window
+            for obj in list(node.saved) + [c.cell_contents for c in node.vjp.__closure__ or ()]
+            if isinstance(obj, np.ndarray)
+        ]
+        assert held and all(np.issubdtype(a.dtype, np.integer) for a in held)
+
 
 @pytest.mark.parametrize(
     "k,stride,pad", [(3, 2, 1), (2, 1, 1), (4, 1, 2), (3, 1, 0), (3, 1, 2), (1, 1, 1)]

@@ -142,7 +142,7 @@ def gt_box(x, y, cls=0, yaw=0.0, size=(1.0, 1.0, 1.0), vel=(0.0, 0.0)):
 
 
 def head_output_for(boxes, cells, logits_scale=6.0, n_cls=3, jitter=None):
-    """Build a HeadOutput whose detections sit near given boxes."""
+    """Build a HeadOutput whose decoded boxes sit near given boxes."""
     k = len(cells)
     logits = np.full((k, n_cls), -logits_scale)
     enc = np.zeros((k, pr.BOX_DIM))
@@ -157,16 +157,7 @@ def head_output_for(boxes, cells, logits_scale=6.0, n_cls=3, jitter=None):
         classes=np.argmax(logits, axis=1),
         scores=np.linspace(0.9, 0.5, k),
     )
-    out = pr.subtask_heads(
-        Tensor(np.zeros((k, 4))), Tensor(np.zeros((k, 4))),
-        pr.HeadParams(
-            classifier=ffn_init(np.random.default_rng(0), n_cls, 4, 4),
-            box=ffn_init(np.random.default_rng(0), pr.BOX_DIM, 4, 4),
-        ),
-        cands, BEV16,
-    )
-    # overwrite tensors with crafted values
-    return pr.HeadOutput(Tensor(logits), Tensor(enc), out.detections), cands
+    return pr.HeadOutput(Tensor(logits), Tensor(enc)), cands
 
 
 class TestHeadSetLoss:
@@ -314,7 +305,7 @@ class TestMatchEmptySide:
     def test_no_candidates(self):
         none = np.zeros(0, dtype=np.int64)
         cands = pr.CandidateSet(np.zeros((0, 2), dtype=np.int64), none, np.zeros(0))
-        out = pr.HeadOutput(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, pr.BOX_DIM))), [])
+        out = pr.HeadOutput(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, pr.BOX_DIM))))
         match = ls.match_against_gt(out, cands, [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)], BEV16)
         assert match == ls.MatchResult((), (), (0, 1), 0.0)
 
@@ -334,7 +325,7 @@ class TestVeryNegativeLogits:
         out, cands = head_output_for(boxes, cells)
         logits = out.class_logits.data.copy()
         logits[0, 1] = -800.0
-        crafted = pr.HeadOutput(Tensor(logits), out.boxes, out.detections)
+        crafted = pr.HeadOutput(Tensor(logits), out.boxes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             match = ls.match_against_gt(crafted, cands, boxes, BEV16)
@@ -350,7 +341,8 @@ class TestVeryNegativeLogits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = pr.subtask_heads(q, q, params, cands, BEV16)
-        assert [(d.class_id, d.score) for d in out.detections] == [(0, 0.0), (0, 0.0)]
+            records = pr.decode_detections(out, cands, BEV16)
+        assert [(d.class_id, d.score) for d in records] == [(0, 0.0), (0, 0.0)]
 
 
 class TestClassIdOutOfRange:

@@ -193,6 +193,18 @@ class TestEvaluate:
         # classes 1..4 have no gt and no detections: excluded, mAP stays 1.0
         assert result.mean_ap == 1.0
 
+    def test_ground_truth_class_out_of_range_raises(self):
+        gts = [[rec(1, 1, cls=0), rec(-2, 3, cls=12)]]
+        dets = [[rec(1, 1, cls=0, score=0.9)]]
+        with pytest.raises(ValueError, match="scene 0, ground truth 1: class_id 12 is out of range for 10"):
+            mt.evaluate(dets, gts, class_count=10)
+
+    def test_detection_class_out_of_range_raises(self):
+        gts = [[rec(1, 1, cls=0)], [rec(4, -4, cls=1)]]
+        dets = [[rec(1, 1, cls=0, score=0.9)], [rec(4, -4, cls=-1, score=0.8)]]
+        with pytest.raises(ValueError, match="scene 1, detection 0: class_id -1 is out of range for 3"):
+            mt.evaluate(dets, gts, class_count=3)
+
 
 def test_report_files(tmp_path):
     gts = [[rec(1, 1, cls=0)]]

@@ -1,4 +1,5 @@
-"""Packaging checks: declared entry points resolve, and the oracles stay independent."""
+"""Packaging checks: declared entry points resolve, and the oracles and the evaluator
+stay independent."""
 
 import ast
 import importlib
@@ -44,3 +45,9 @@ def _bevkit_modules_imported(tree):
 def test_oracles_import_only_geometry_from_bevkit():
     tree = ast.parse((Path(bevkit.__file__).parent / "oracles.py").read_text())
     assert set(_bevkit_modules_imported(tree)) == {"geometry"}
+
+
+def test_metrics_import_nothing_from_bevkit():
+    """The evaluator stays a leaf: predictor imports it, and it scores any model."""
+    tree = ast.parse((Path(bevkit.__file__).parent / "metrics.py").read_text())
+    assert set(_bevkit_modules_imported(tree)) == set()

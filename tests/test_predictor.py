@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -394,7 +396,7 @@ class TestHeadsAndDecode:
             self.heads(rng, zero=True), cands, BEV16,
         )
         assert np.all(out.class_logits.data == 0.0)
-        for det, cell in zip(out.detections, [(3, 4), (10, 2)]):
+        for det, cell in zip(pr.decode_detections(out, cands, BEV16), [(3, 4), (10, 2)]):
             cx, cy = BEV16.cell_center(*cell)
             np.testing.assert_allclose(det.center[:2], [cx, cy], atol=1e-12)
             np.testing.assert_allclose(det.size, 1.0, atol=1e-15)
@@ -407,7 +409,7 @@ class TestHeadsAndDecode:
             Tensor(np.zeros((0, 6))), Tensor(np.zeros((0, 6))),
             self.heads(rng), cands, BEV16,
         )
-        assert out.detections == []
+        assert pr.decode_detections(out, cands, BEV16) == []
 
     def test_matches_replay_oracle(self):
         rng = np.random.default_rng(14)
@@ -446,6 +448,55 @@ class TestBoxCodec:
             assert abs(np.arctan2(np.sin(yaw - box.yaw), np.cos(yaw - box.yaw))) < 1e-9
             np.testing.assert_allclose(vel, box.velocity, atol=1e-12)
 
+    def test_rows_equal_single_calls(self):
+        rng = np.random.default_rng(18)
+        cells = rng.integers(0, 16, size=(12, 2))
+        boxes = rng.normal(size=(12, pr.BOX_DIM))
+        boxes[4, 6:8] = 0.0  # zero-norm (sin, cos): yaw 0, no division
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = pr.decode_box(cells, boxes, BEV16)
+            singles = [pr.decode_box(cell, box, BEV16) for cell, box in zip(cells, boxes)]
+        assert [part.shape for part in stacked] == [(12, 3), (12, 3), (12,), (12, 2)]
+        for rows, parts in zip(stacked, zip(*singles)):
+            assert np.array_equal(rows, np.stack(parts))
+        assert stacked[2][4] == 0.0
+
+
+def test_exact_encodings_score_perfectly():
+    """Exact encodings of the ground truth, decoded and scored by the evaluator,
+    give a perfect mAP and no translation error."""
+    from bevkit import metrics
+    from bevkit.geometry import bev_index
+    from bevkit.scene import generate_scene
+
+    gt_scenes, det_scenes = [], []
+    for seed in range(3):
+        boxes = generate_scene(6, BEV16, class_count=4, seed=seed).boxes
+        cells = np.array([bev_index(b.center[0], b.center[1], BEV16) for b in boxes])
+        logits = np.full((len(boxes), 4), -6.0)
+        logits[np.arange(len(boxes)), [b.class_id for b in boxes]] = 6.0
+        enc = np.stack([pr.encode_box_for_cell(b, cell, BEV16) for b, cell in zip(boxes, cells)])
+        cands = make_cands(cells, [b.class_id for b in boxes], np.linspace(0.9, 0.4, len(boxes)))
+        out = pr.HeadOutput(Tensor(logits), Tensor(enc))
+        det_scenes.append(pr.decode_detections(out, cands, BEV16))
+        gt_scenes.append([metrics.BoxRecord.from_object_box(b) for b in boxes])
+    result = metrics.evaluate(det_scenes, gt_scenes, class_count=4)
+    assert result.mean_ap == 1.0
+    assert result.tp_errors["mATE"] < 1e-9
+
+
+@pytest.mark.parametrize("cls_rows,box_rows", [(3, 3), (1, 1), (2, 3), (1, 2)])
+def test_subtask_heads_reject_query_rows_not_matching_candidates(cls_rows, box_rows):
+    rng = np.random.default_rng(19)
+    heads = TestHeadsAndDecode().heads(rng)
+    cands = make_cands([[3, 4], [10, 2]], [1, 0], [0.9, 0.8])
+    message = f"{cls_rows} class and {box_rows} box query rows for 2 candidates"
+    with pytest.raises(nm.DimensionError, match=message):
+        pr.subtask_heads(
+            Tensor(np.zeros((cls_rows, 6))), Tensor(np.zeros((box_rows, 6))), heads, cands, BEV16
+        )
+
 
 def test_oracle_heatmap_end_to_end_centers():
     """Ground-truth-injected heatmap + zero heads puts detections exactly at
@@ -473,8 +524,10 @@ def test_oracle_heatmap_end_to_end_centers():
     expected_cells = sorted(
         bev_index(b.center[0], b.center[1], BEV16) for b in boxes
     )
-    got_cells = sorted(det.cell for det in out.detections)
-    assert got_cells == expected_cells
-    for det in out.detections:
-        cx, cy = BEV16.cell_center(*det.cell)
+    # Records are row-aligned with the candidates, so candidate i's cell is record i's.
+    assert sorted(map(tuple, cands.cells.tolist())) == expected_cells
+    records = pr.decode_detections(out, cands, BEV16)
+    assert len(records) == len(expected_cells)
+    for det, cell in zip(records, cands.cells):
+        cx, cy = BEV16.cell_center(*cell)
         np.testing.assert_allclose(det.center[:2], [cx, cy], atol=1e-12)
