@@ -1,11 +1,12 @@
 """Detector losses and minimum-cost bipartite matching.
 
 The matcher is an O(n^3) augmenting-path solver over row/column potentials.
-Among cost-tied optima it returns the lexicographically smallest pair list,
-found by greedily fixing pairs inside the zero-reduced-cost subgraph and
-checking that a completion still exists. All losses run on the numerics
-tape, so their gradients come from the same backward pass as the rest of
-the model.
+Those potentials give the exact set of optima: the assignments of zero
+reduced cost that cover the smaller side and every larger-side vertex with a
+nonzero potential. Among them it returns the lexicographically smallest pair
+list, built in one pass over the predictions in order. All losses run on the
+numerics tape, so their gradients come from the same backward pass as the
+rest of the model.
 """
 
 from __future__ import annotations
@@ -87,66 +88,32 @@ def _solve_potentials(a: np.ndarray):
     return col_for_row, u[1:], v[1:]
 
 
-def _max_matching_size(adj: np.ndarray, rows: list[int], cols: list[int]) -> int:
-    """Kuhn's augmenting paths over a boolean adjacency restriction."""
-    col_owner: dict[int, int] = {}
+def _covers(nbrs: list[list[int]], rows, allowed) -> bool:
+    """Whether Kuhn's augmenting paths match every row to a distinct allowed neighbour."""
+    owner: dict[int, int] = {}
 
-    def try_row(r, banned):
-        for c in cols:
-            if c in banned or not adj[r, c]:
-                continue
-            banned.add(c)
-            owner = col_owner.get(c)
-            if owner is None or try_row(owner, banned):
-                col_owner[c] = r
-                return True
+    def augment(r, seen):
+        for c in nbrs[r]:
+            if c in allowed and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
         return False
 
-    size = 0
-    for r in rows:
-        if try_row(r, set()):
-            size += 1
-    return size
-
-
-def _lex_smallest_pairs(eq: np.ndarray, k: int):
-    """Lexicographically smallest k-pair list forming a matching inside eq.
-
-    Later pairs must use strictly larger prediction indices, so candidates
-    are scanned in (prediction, ground truth) order and accepted when a
-    completion saturating the remaining side still exists.
-    """
-    m, n = eq.shape
-    pairs = []
-    used_gt = np.zeros(n, dtype=bool)
-    last_i = -1
-    for pos in range(k):
-        need = k - pos - 1
-        placed = False
-        for i in range(last_i + 1, m - need):
-            for j in range(n):
-                if used_gt[j] or not eq[i, j]:
-                    continue
-                rows = list(range(i + 1, m))
-                cols = [cc for cc in range(n) if not used_gt[cc] and cc != j]
-                if _max_matching_size(eq, rows, cols) >= need:
-                    pairs.append((i, j))
-                    used_gt[j] = True
-                    last_i = i
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            return None
-    return pairs
+    return all(augment(r, set()) for r in rows)
 
 
 def hungarian_match(cost) -> MatchResult:
     """Minimum-total-cost assignment of min(m, n) pairs.
 
-    Cost-tied optima resolve to the lexicographically smallest pair list.
-    Non-finite costs are rejected.
+    The solver's potentials describe every optimum: an assignment is optimal
+    exactly when each pair has zero reduced cost and it covers the smaller
+    side and every larger-side vertex whose potential is nonzero
+    (complementary slackness). Among those, the lexicographically smallest
+    pair list is built one prediction at a time: each takes its smallest free
+    tight ground truth that leaves the required vertices coverable, or stays
+    unmatched. Non-finite costs are rejected.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -154,33 +121,45 @@ def hungarian_match(cost) -> MatchResult:
     if not np.all(np.isfinite(cost)):
         raise NumericError("cost matrix contains non-finite entries")
     m, n = cost.shape
-    k = min(m, n)
-    if k == 0:
+    if min(m, n) == 0:
         return MatchResult((), tuple(range(m)), tuple(range(n)), 0.0)
 
-    if m <= n:
-        col_for_row, u_rows, v_cols = _solve_potentials(cost)
-        matched = [(i, int(col_for_row[i])) for i in range(m)]
-        reduced = cost - u_rows[:, None] - v_cols[None, :]
-    else:
-        row_for_col, u_cols, v_rows = _solve_potentials(cost.T)
-        matched = [(int(row_for_col[j]), j) for j in range(n)]
-        reduced = cost - v_rows[:, None] - u_cols[None, :]
+    flip = m > n
+    small_to_large, u, v = _solve_potentials(cost.T if flip else cost)
+    row_pot, col_pot = (v, u) if flip else (u, v)
+    solved = sorted((int(b), a) if flip else (a, int(b)) for a, b in enumerate(small_to_large))
+    best_total = math.fsum(cost[i, j] for i, j in solved)
 
-    matched.sort()
-    best_total = math.fsum(cost[i, j] for i, j in matched)
     tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
-    eq = np.abs(reduced) <= tol
-    for i, j in matched:
-        eq[i, j] = True
-    if int(eq.sum()) > k:
-        refined = _lex_smallest_pairs(eq, k)
-        if refined is not None and math.fsum(cost[i, j] for i, j in refined) == best_total:
-            matched = refined
-    pred_used = {i for i, _ in matched}
-    gt_used = {j for _, j in matched}
+    tight = np.abs(cost - row_pot[:, None] - col_pot[None, :]) <= tol
+    for i, j in solved:
+        tight[i, j] = True
+    need_row = ((m <= n) | (row_pot != 0)).tolist()
+    need_col = ((n <= m) | (col_pot != 0)).tolist()
+    gts = [np.flatnonzero(row).tolist() for row in tight]
+    preds = [np.flatnonzero(col).tolist() for col in tight.T]
+    free = set(range(n))
+    pairs = []
+    for i in range(m):
+        rest = range(i + 1, m)
+        for j in gts[i]:
+            if j not in free:
+                continue
+            free.remove(j)
+            # A matching covering the required rows and one covering the required
+            # columns imply one covering both (Mendelsohn-Dulmage).
+            if _covers(gts, [r for r in rest if need_row[r]], free) and _covers(
+                preds, [c for c in free if need_col[c]], rest
+            ):
+                pairs.append((i, j))
+                break
+            free.add(j)
+    if math.fsum(cost[i, j] for i, j in pairs) != best_total:
+        pairs = solved  # tight within tol but not exactly optimal
+    pred_used = {i for i, _ in pairs}
+    gt_used = {j for _, j in pairs}
     return MatchResult(
-        pairs=tuple(matched),
+        pairs=tuple(pairs),
         unmatched_predictions=tuple(i for i in range(m) if i not in pred_used),
         unmatched_ground_truths=tuple(j for j in range(n) if j not in gt_used),
         total_cost=best_total,

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from .geometry import BEVConfig, CameraParams, DepthBins, bev_index, depth_to_bin, unproject
+from .geometry import BEVConfig, CameraParams, DepthBins, bev_index
+
+
+def _pinhole_inverse(u: float, v: float, depth: float, cam: CameraParams) -> np.ndarray:
+    """World point seen at pixel (u, v) at camera depth, inverting the pinhole by hand."""
+    x = (u - cam.cx) / cam.fx * depth
+    y = (v - cam.cy) / cam.fy * depth
+    return ((np.array([[x, y, depth]]) - cam.translation) @ cam.rotation)[0]
 
 
 def ray_stream_oracle(
@@ -34,7 +41,7 @@ def ray_stream_oracle(
                 v = (row + 0.5) * stride - 0.5
                 for d in range(d_count):
                     depth = bins.d_min + (d + 0.5) * bins.delta
-                    world = unproject(u, v, depth, cam)
+                    world = _pinhole_inverse(u, v, depth, cam)
                     cell = bev_index(world[0], world[1], bev_cfg)
                     if cell is None:
                         continue
@@ -62,7 +69,7 @@ def ray_pixel_cell_counts(
                     if dist[row, col, d] == 0.0:
                         continue
                     depth = bins.d_min + (d + 0.5) * bins.delta
-                    world = unproject(u, v, depth, cam)
+                    world = _pinhole_inverse(u, v, depth, cam)
                     cell = bev_index(world[0], world[1], bev_cfg)
                     if cell is not None:
                         touched.add(cell)

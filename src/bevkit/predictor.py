@@ -264,6 +264,11 @@ def decode_detections(output: HeadOutput, cands: CandidateSet, bev_cfg: BEVConfi
     """One BoxRecord per candidate, in candidate order: the argmax class, the
     sigmoid of its logit as the score, and the decoded box."""
     logits = output.class_logits.data
+    if not logits.shape[0] == output.boxes.shape[0] == cands.k:
+        raise DimensionError(
+            f"decode_detections: {logits.shape[0]} class logit and {output.boxes.shape[0]} "
+            f"box rows for {cands.k} candidates"
+        )
     classes = logits.argmax(axis=1)
     scores = nm._sigmoid(logits[np.arange(cands.k), classes])
     center, size, yaw, velocity = decode_box(cands.cells, output.boxes.data, bev_cfg)

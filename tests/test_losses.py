@@ -61,6 +61,42 @@ class TestHungarian:
             assert res.total_cost == best_total
             assert list(res.pairs) == best_pairs
 
+    @pytest.mark.parametrize(
+        "cost, pairs",
+        [
+            # every reduced cost is 0, but prediction 2 has a nonzero potential
+            # and must be matched: (0, 0), (1, 1) is tight and costs 6, not 5
+            ([[4, 2], [4, 2], [3, 1]], [(0, 0), (2, 1)]),
+            ([[2, 0, 1, 3, 3, 4, 3], [3, 3, 3, 4, 4, 2, 1], [2, 4, 2, 4, 4, 4, 1]],
+             [(0, 1), (1, 5), (2, 6)]),
+            ([[2, 2, 0, 0, 1, 1, 2], [2, 1, 0, 0, 1, 2, 1], [2, 2, 2, 2, 1, 2, 2],
+              [1, 1, 1, 1, 0, 2, 1]],
+             [(0, 2), (1, 3), (2, 0), (3, 4)]),
+        ],
+    )
+    def test_rectangular_tie_takes_oracle_pairs(self, cost, pairs):
+        cost = np.array(cost, dtype=float)
+        best_total, best_pairs = oracles.hungarian_oracle(cost)
+        assert best_pairs == pairs
+        res = ls.hungarian_match(cost)
+        assert list(res.pairs) == pairs
+        assert res.total_cost == best_total
+
+    def test_integer_ties_match_oracle_stress(self):
+        rng = np.random.default_rng(0)
+        checked = 0
+        for trial in range(1000):
+            m, n = rng.integers(1, 8, size=2)
+            if min(m, n) > 5:
+                continue
+            cost = rng.integers(0, 3, size=(m, n)).astype(float)
+            res = ls.hungarian_match(cost)
+            best_total, best_pairs = oracles.hungarian_oracle(cost)
+            assert list(res.pairs) == best_pairs, f"trial {trial}: {cost.tolist()}"
+            assert res.total_cost == best_total, f"trial {trial}"
+            checked += 1
+        assert checked > 900
+
     def test_rejects_nan(self):
         with pytest.raises(NumericError):
             ls.hungarian_match([[np.nan]])

@@ -47,6 +47,20 @@ def test_oracles_import_only_geometry_from_bevkit():
     assert set(_bevkit_modules_imported(tree)) == {"geometry"}
 
 
+def test_oracles_import_no_production_geometry():
+    """The oracles take config and camera types and the scalar cell lookup from
+    geometry; unproject, unproject_points, project_points, bev_indices and
+    depth_to_bins are what the production paths compute with."""
+    tree = ast.parse((Path(bevkit.__file__).parent / "oracles.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "geometry"
+        for alias in node.names
+    }
+    assert names == {"BEVConfig", "CameraParams", "DepthBins", "bev_index"}
+
+
 def test_metrics_import_nothing_from_bevkit():
     """The evaluator stays a leaf: predictor imports it, and it scores any model."""
     tree = ast.parse((Path(bevkit.__file__).parent / "metrics.py").read_text())

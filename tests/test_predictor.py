@@ -15,7 +15,7 @@ from bevkit.layers import (
     ffn_init,
     linear_init,
 )
-from bevkit.numerics import LinearParams, Tensor
+from bevkit.numerics import DimensionError, LinearParams, Tensor
 from bevkit.scene import ObjectBox
 
 
@@ -410,6 +410,16 @@ class TestHeadsAndDecode:
             self.heads(rng), cands, BEV16,
         )
         assert pr.decode_detections(out, cands, BEV16) == []
+
+    @pytest.mark.parametrize("logit_rows, box_rows", [(1, 1), (3, 3), (2, 3), (3, 2)])
+    def test_decode_rejects_row_counts_that_disagree(self, logit_rows, box_rows):
+        cands = make_cands([[3, 4], [10, 2]], [1, 0], [0.9, 0.8])
+        out = pr.HeadOutput(
+            Tensor(np.zeros((logit_rows, 3))), Tensor(np.zeros((box_rows, pr.BOX_DIM)))
+        )
+        with pytest.raises(DimensionError) as err:
+            pr.decode_detections(out, cands, BEV16)
+        assert f"{logit_rows} class logit and {box_rows} box rows for 2 candidates" in str(err.value)
 
     def test_matches_replay_oracle(self):
         rng = np.random.default_rng(14)
