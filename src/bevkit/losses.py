@@ -104,38 +104,10 @@ def _covers(nbrs: list[list[int]], rows, allowed) -> bool:
     return all(augment(r, set()) for r in rows)
 
 
-def hungarian_match(cost) -> MatchResult:
-    """Minimum-total-cost assignment of min(m, n) pairs.
-
-    The solver's potentials describe every optimum: an assignment is optimal
-    exactly when each pair has zero reduced cost and it covers the smaller
-    side and every larger-side vertex whose potential is nonzero
-    (complementary slackness). Among those, the lexicographically smallest
-    pair list is built one prediction at a time: each takes its smallest free
-    tight ground truth that leaves the required vertices coverable, or stays
-    unmatched. Non-finite costs are rejected.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2-D matrix")
-    if not np.all(np.isfinite(cost)):
-        raise NumericError("cost matrix contains non-finite entries")
-    m, n = cost.shape
-    if min(m, n) == 0:
-        return MatchResult((), tuple(range(m)), tuple(range(n)), 0.0)
-
-    flip = m > n
-    small_to_large, u, v = _solve_potentials(cost.T if flip else cost)
-    row_pot, col_pot = (v, u) if flip else (u, v)
-    solved = sorted((int(b), a) if flip else (a, int(b)) for a, b in enumerate(small_to_large))
-    best_total = math.fsum(cost[i, j] for i, j in solved)
-
-    tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
-    tight = np.abs(cost - row_pot[:, None] - col_pot[None, :]) <= tol
-    for i, j in solved:
-        tight[i, j] = True
-    need_row = ((m <= n) | (row_pot != 0)).tolist()
-    need_col = ((n <= m) | (col_pot != 0)).tolist()
+def _smallest_tight_pairs(reduced: np.ndarray, tol: float, need_row, need_col) -> list:
+    """hungarian_match's row-order search over the pairs with |reduced cost| <= tol."""
+    m, n = reduced.shape
+    tight = reduced <= tol
     gts = [np.flatnonzero(row).tolist() for row in tight]
     preds = [np.flatnonzero(col).tolist() for col in tight.T]
     free = set(range(n))
@@ -154,8 +126,47 @@ def hungarian_match(cost) -> MatchResult:
                 pairs.append((i, j))
                 break
             free.add(j)
-    if math.fsum(cost[i, j] for i, j in pairs) != best_total:
-        pairs = solved  # tight within tol but not exactly optimal
+    return pairs
+
+
+def hungarian_match(cost) -> MatchResult:
+    """Minimum-total-cost assignment of min(m, n) pairs.
+
+    The solver's potentials describe every optimum: an assignment is optimal
+    exactly when each pair has zero reduced cost and it covers the smaller
+    side and every larger-side vertex whose potential is nonzero
+    (complementary slackness). Among those, the lexicographically smallest
+    pair list is built one prediction at a time: each takes its smallest free
+    tight ground truth that leaves the required vertices coverable, or stays
+    unmatched. Tight means within a relative 1e-9 first, then exactly; the first
+    list that is exactly optimal is returned, else the solver's pairs.
+    Non-finite costs are rejected.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError("cost must be a 2-D matrix")
+    if not np.all(np.isfinite(cost)):
+        raise NumericError("cost matrix contains non-finite entries")
+    m, n = cost.shape
+    if min(m, n) == 0:
+        return MatchResult((), tuple(range(m)), tuple(range(n)), 0.0)
+
+    flip = m > n
+    small_to_large, u, v = _solve_potentials(cost.T if flip else cost)
+    row_pot, col_pot = (v, u) if flip else (u, v)
+    solved = sorted((int(b), a) if flip else (a, int(b)) for a, b in enumerate(small_to_large))
+    best_total = math.fsum(cost[i, j] for i, j in solved)
+
+    reduced = np.abs(cost - row_pot[:, None] - col_pot[None, :])
+    reduced[tuple(zip(*solved))] = 0.0  # the solver's pairs are tight at any tol
+    need_row = ((m <= n) | (row_pot != 0)).tolist()
+    need_col = ((n <= m) | (col_pot != 0)).tolist()
+    for tol in (1e-9 * max(1.0, float(np.abs(cost).max())), 0.0):
+        pairs = _smallest_tight_pairs(reduced, tol, need_row, need_col)
+        if math.fsum(cost[i, j] for i, j in pairs) == best_total:
+            break
+    else:
+        pairs = solved
     pred_used = {i for i, _ in pairs}
     gt_used = {j for _, j in pairs}
     return MatchResult(

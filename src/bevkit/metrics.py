@@ -55,9 +55,6 @@ class EvalResult:
     tp_errors: dict[str, float]
     nds: float
 
-    def ap(self, class_id: int, threshold: float) -> float:
-        return self.class_ap[class_id][threshold]
-
 
 def match_detections(dets: list[BoxRecord], gts: list[BoxRecord], threshold: float):
     """Greedy matching at one distance threshold.

@@ -174,13 +174,14 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Set tape.gradients to the gradient of a scalar loss wrt each reachable leaf.
 
-    One reverse sweep: each node pops its output's gradient, checks it is finite
-    (NumericError names the op and node index; numpy's overflow warnings are
-    muted for this) and adds its input gradients; only the leaves' remain.
+    One reverse sweep: each node pops its output's gradient, checks it is finite and
+    adds its input gradients, checking each sum into a leaf; only the leaves' remain.
+    A NumericError names the op and node index; numpy's overflow warnings are muted.
     """
     if loss.size != 1:
         raise DimensionError("backward requires a scalar loss")
     raw: dict[int, np.ndarray] = {loss.id: np.ones(loss.shape)}
+    produced = {node.output_id for node in tape.nodes}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for index, node in reversed(list(enumerate(tape.nodes))):
             gout = raw.pop(node.output_id, None)
@@ -191,6 +192,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             for iid, gin in zip(node.input_ids, node.vjp(gout)):
                 if gin is not None:
                     raw[iid] = raw[iid] + gin if iid in raw else gin
+                    if iid not in produced and not np.isfinite(raw[iid]).all():
+                        raise NumericError(
+                            f"{node.op} at tape node {index}: a leaf's gradient contains NaN or Inf"
+                        )
     tape.gradients = {k: Tensor(v) for k, v in raw.items()}
     return tape.gradients
 
@@ -479,7 +484,7 @@ def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
     return worst
 
 
-# --- serialization: magic "BKT1", u32 rank, u64 extents, f64 payload (LE) ---
+# --- BKT1 files, for tensors and point clouds: u32 rank, u64 extents, f64 payload (LE) ---
 
 _TENSOR_MAGIC = b"BKT1"
 

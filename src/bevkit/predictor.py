@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .geometry import BEVConfig
@@ -69,9 +70,9 @@ def heatmap_head(b_f: Tensor, params: HeatmapParams) -> Tensor:
 def select_candidates(heatmap, k: int) -> CandidateSet:
     """Top-k cells whose best class score is a local maximum.
 
-    A cell is eligible when its score is >= every in-grid neighbor of the
-    8-ring (border cells compare only existing neighbors; a constant
-    plateau makes every cell eligible). Ties in score break by
+    A cell is eligible when its score is the maximum of its 3x3 window, so
+    >= every in-grid neighbor (border windows are padded with -inf; a
+    constant plateau makes every cell eligible). Ties in score break by
     (gx, gy, class), lexicographically smallest first.
     """
     if k < 1:
@@ -82,13 +83,7 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     cls = h.argmax(axis=2)
     padded = np.full((X + 2, Y + 2), -np.inf)
     padded[1:-1, 1:-1] = score
-    eligible = np.ones((X, Y), dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            neighbor = padded[1 + dx : 1 + dx + X, 1 + dy : 1 + dy + Y]
-            eligible &= score >= neighbor
+    eligible = score >= sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
     gx, gy = np.nonzero(eligible)
     sc = score[gx, gy]
     cl = cls[gx, gy]

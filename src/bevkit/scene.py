@@ -14,18 +14,19 @@ change a bit: the sphere contains the box, its margin covers rounding and
 the slab test's parallel rule, and a row subset goes through the same
 elementwise ops and matmul rows as the full arrays.
 Everything is a pure function of the seed: same inputs, bit-identical
-outputs.
+outputs. A point cloud is stored as a BKT1 tensor file (numerics.save_tensor)
+of its float64 [N, 5] points, so it reloads bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BEVConfig, CameraParams, _read_ini, look_at_pose, rotation_z
+from .numerics import Tensor, load_tensor, save_tensor
 
 _RAY_EPS = 1e-9
 
@@ -439,33 +440,18 @@ def default_elevations(count: int = 16) -> np.ndarray:
     return np.deg2rad(np.linspace(-30.0, 2.0, count))
 
 
-# --- file formats ---
-
-_CLOUD_MAGIC = b"BKP1"
+# --- file formats: a point cloud is a BKT1 tensor file of its [N, 5] points ---
 
 
 def save_point_cloud(path, pc: PointCloud) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CLOUD_MAGIC)
-        fh.write(struct.pack("<Q", len(pc)))
-        fh.write(pc.points.astype("<f4").tobytes())
+    save_tensor(path, Tensor(pc.points))
 
 
 def load_point_cloud(path) -> PointCloud:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CLOUD_MAGIC:
-        raise ValueError(f"{path}: bad point cloud magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated point cloud header")
-    (count,) = struct.unpack_from("<Q", blob, 4)
-    payload = blob[12:]
-    if len(payload) != count * 5 * 4:
-        raise ValueError(f"{path}: expected {count} records, payload disagrees")
-    pts = np.frombuffer(payload, dtype="<f4").reshape(count, 5)
-    if not np.isfinite(pts).all():
-        raise ValueError(f"{path}: point cloud contains non-finite values")
-    return PointCloud(pts.astype(np.float64))
+    points = load_tensor(path).data
+    if points.ndim != 2 or points.shape[1] != 5:
+        raise ValueError(f"{path}: point cloud tensor has shape {points.shape}, not [N, 5]")
+    return PointCloud(points)
 
 
 def save_scene(path, scene: Scene) -> None:
@@ -486,8 +472,12 @@ def load_scene(path) -> Scene:
     parser = _read_ini(path)
     if "scene" not in parser:
         raise ValueError(f"{path}: missing [scene] section")
-    seed = int(parser["scene"].get("seed", "0"))
-    class_count = int(parser["scene"].get("class_count", "10"))
+    try:
+        seed = int(parser["scene"].get("seed", "0"))
+        class_count = int(parser["scene"].get("class_count", "10"))
+        Scene((), seed, class_count)  # the header's checks, before any box is read
+    except ValueError as err:
+        raise ValueError(f"{path}: [scene] {err}") from None
     boxes = []
     for section in parser.sections():
         if not section.startswith("box"):

@@ -97,6 +97,26 @@ class TestHungarian:
             checked += 1
         assert checked > 900
 
+    def test_float_tie_within_tol_takes_oracle_pairs(self):
+        # pair (0, 0) has reduced cost 2.8e-17: tight within tol, not exactly
+        cost = np.array([[0.2, 0.1, 0.3, 0.3, 0.1, 0.1], [0.7, 0.7, 0.3, 0.2, 0.2, 0.7],
+                         [0.2, 0.1, 0.3, 0.1, 0.2, 0.3], [0.2, 0.3, 0.7, 0.1, 0.1, 0.3],
+                         [0.7, 0.1, 0.3, 0.7, 0.2, 0.1]])
+        res = ls.hungarian_match(cost)
+        assert res.pairs == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+        assert res.total_cost == oracles.hungarian_oracle(cost)[0]
+
+    def test_float_ties_match_oracle_stress(self):
+        vals = np.array([0.1, 0.2, 0.3, 0.7])
+        rng = np.random.default_rng(1)
+        for trial in range(500):
+            m, n = rng.integers(1, 7, size=2)
+            cost = vals[rng.integers(0, 4, size=(m, n))]
+            res = ls.hungarian_match(cost)
+            best_total, best_pairs = oracles.hungarian_oracle(cost)
+            assert list(res.pairs) == best_pairs, f"trial {trial}: {cost.tolist()}"
+            assert res.total_cost == best_total, f"trial {trial}"
+
     def test_rejects_nan(self):
         with pytest.raises(NumericError):
             ls.hungarian_match([[np.nan]])

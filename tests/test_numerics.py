@@ -210,6 +210,15 @@ class TestLeafGradients:
             with pytest.raises(NumericError, match=r"^mul_const at tape node 0: "):
                 backward(tape, y)
 
+    def test_non_finite_leaf_gradient_names_op_and_node(self):
+        x = tensor([1e-310, 1.0])
+        with Tape() as tape:
+            y = nm.sum(nm.log(x))
+        with pytest.raises(
+            NumericError, match=r"^log at tape node 0: a leaf's gradient contains NaN or Inf"
+        ):
+            backward(tape, y)
+
 
 class TestFiniteDiff:
     def test_square(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bevkit import geometry as geo
+from bevkit import numerics as nm
 from bevkit import scene as sc
 from bevkit.geometry import BEVConfig
 from bevkit.scene import ObjectBox, PlacementError, Scene
@@ -704,9 +705,23 @@ class TestPointCloudIO:
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "short.bkp"
-        p.write_bytes(b"BKP1\x00\x00")
-        with pytest.raises(ValueError, match="short.bkp: truncated point cloud header"):
+        p.write_bytes(b"BKT1\x00\x00")
+        with pytest.raises(ValueError, match="short.bkp: truncated tensor header"):
             sc.load_point_cloud(p)
+
+    def test_lidar_scan_roundtrip_is_bit_exact(self, tmp_path):
+        scene = sc.generate_scene(8, DESK, 10, seed=5)
+        pc = sc.lidar_scan(scene, sc.default_lidar_origin(), 360, sc.default_elevations(16))
+        path = tmp_path / "sweep.bkp"
+        sc.save_point_cloud(path, pc)
+        assert np.array_equal(sc.load_point_cloud(path).points, pc.points)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 4), (2, 3, 5)])
+    def test_tensor_not_n_by_5_names_the_file(self, tmp_path, shape):
+        path = tmp_path / "odd.bkp"
+        nm.save_tensor(path, nm.Tensor(np.zeros(shape)))
+        with pytest.raises(ValueError, match=r"odd\.bkp: point cloud tensor has shape"):
+            sc.load_point_cloud(path)
 
 
 def test_scene_file_roundtrip(tmp_path):
@@ -755,6 +770,21 @@ class TestBoxValidation:
     def test_nan_center_in_file_names_section(self, tmp_path):
         path = self.scene_text(tmp_path, center="nan 2.0 0.5")
         with pytest.raises(ValueError, match=r"\[box 0\] .*finite"):
+            sc.load_scene(path)
+
+    def test_bad_seed_names_file_and_section(self, tmp_path):
+        path = self.scene_text(tmp_path, seed="abc")
+        with pytest.raises(ValueError, match=r"scene\.txt: \[scene\] invalid literal .*'abc'"):
+            sc.load_scene(path)
+
+    @pytest.mark.parametrize("class_count", [0, -3])
+    def test_class_count_below_one_names_file_and_section(self, tmp_path, class_count):
+        # with class_count -3 the header is at fault, not box 0's class_id 3
+        path = self.scene_text(tmp_path, class_count=class_count)
+        with pytest.raises(
+            ValueError,
+            match=rf"scene\.txt: \[scene\] class_count must be >= 1, got {class_count}$",
+        ):
             sc.load_scene(path)
 
     def test_valid_file_still_loads(self, tmp_path):

@@ -283,6 +283,20 @@ class TestRayStream:
             expected = oracles.ray_stream_oracle(ctxs, dists, cams, BINS8, BEV16)
             assert np.max(np.abs(out.data - expected)) < 1e-9
 
+    def test_matches_oracle_off_axis(self):
+        # an eye off the z axis, so a fault in the translation term moves points in x and y
+        R, t = geo.look_at_pose([1.0, -0.5, 1.4], [6.0, 1.0, 0.3])
+        cam = CameraParams(fx=8, fy=8, cx=8, cy=8, width=16, height=16,
+                           rotation=R, translation=t, name="off")
+        bins, bev = DepthBins(1.0, 9.0, 8), BEVConfig(-2.0, 8.0, -4.0, 6.0, 10)
+        rng = np.random.default_rng(16)
+        ctx = rng.normal(size=(8, 8, 3))
+        dist = rng.dirichlet(np.ones(8), size=(8, 8))
+        out = vt.ray_stream([Tensor(ctx)], [Tensor(dist)], [cam], bins, bev)
+        expected = oracles.ray_stream_oracle([ctx], [dist], [cam], bins, bev)
+        assert np.any(expected != 0)
+        assert np.max(np.abs(out.data - expected)) < 1e-9
+
     def test_one_hot_concentration(self):
         rng = np.random.default_rng(10)
         cams, ctxs, dists = ray_inputs(rng, n_cams=1)
