@@ -5,7 +5,9 @@ Conventions used throughout the package:
     x right, y down;
   - all intervals are half-open so every coordinate has a unique owner
     cell or bin;
-  - out-of-view / out-of-range results are values (None), never errors.
+  - each rule is one vectorized function over arrays of points, and an
+    out-of-view or out-of-range entry is flagged False in its boolean mask
+    (index -1 where the rule returns one), never an error.
 """
 
 from __future__ import annotations
@@ -141,14 +143,6 @@ def project_points(points: np.ndarray, cam: CameraParams):
     return np.stack([u, v], axis=1), z, in_view
 
 
-def project(point, cam: CameraParams):
-    """(u, v, depth) for an in-view world point, else None."""
-    uv, z, ok = project_points(np.asarray(point, dtype=np.float64)[None, :], cam)
-    if not ok[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1]), float(z[0])
-
-
 def unproject_points(uv: np.ndarray, depth: np.ndarray, cam: CameraParams) -> np.ndarray:
     """Inverse of project_points for positive depths; [N,2]+[N] -> [N,3] world."""
     uv = np.atleast_2d(np.asarray(uv, dtype=np.float64))
@@ -161,39 +155,20 @@ def unproject_points(uv: np.ndarray, depth: np.ndarray, cam: CameraParams) -> np
     return (p_cam - cam.translation) @ cam.rotation
 
 
-def unproject(u: float, v: float, depth: float, cam: CameraParams) -> np.ndarray:
-    if depth <= 0:
-        raise ValueError("unproject requires positive depth")
-    return unproject_points(np.array([[u, v]]), np.array([depth]), cam)[0]
-
-
-def depth_to_bin(depth: float, bins: DepthBins):
-    """Half-open bin index, or None outside [d_min, d_max)."""
-    if depth < bins.d_min or depth >= bins.d_max:
-        return None
-    return int((depth - bins.d_min) / bins.delta)
-
-
 def depth_to_bins(depth: np.ndarray, bins: DepthBins):
-    """Vectorized depth_to_bin: (bin index [N], in_range [N])."""
+    """(bin [N], in_range [N]): floor((d - d_min) / delta) for d in [d_min, d_max), clipped
+    to count - 1 where rounding below d_max reaches count; -1 out of range. The clip comes
+    before the int cast, so far depths stay inside int64."""
     depth = np.asarray(depth, dtype=np.float64)
     ok = (depth >= bins.d_min) & (depth < bins.d_max)
-    idx = np.floor((depth - bins.d_min) / bins.delta).astype(np.int64)
-    idx = np.clip(idx, 0, bins.count - 1)
-    return np.where(ok, idx, -1), ok
-
-
-def bev_index(x: float, y: float, cfg: BEVConfig):
-    """(gx, gy) owner cell, or None outside the half-open BEV range."""
-    if not (cfg.x_min <= x < cfg.x_max and cfg.y_min <= y < cfg.y_max):
-        return None
-    gx = int((x - cfg.x_min) * cfg.n / (cfg.x_max - cfg.x_min))
-    gy = int((y - cfg.y_min) * cfg.n / (cfg.y_max - cfg.y_min))
-    return min(gx, cfg.n - 1), min(gy, cfg.n - 1)
+    idx = np.clip(np.floor((depth - bins.d_min) / bins.delta), 0, bins.count - 1)
+    return np.where(ok, idx.astype(np.int64), -1), ok
 
 
 def bev_indices(xy: np.ndarray, cfg: BEVConfig):
-    """Vectorized bev_index: (gx [N], gy [N], in_range [N])."""
+    """(gx [N], gy [N], in_range [N]) of ground points [N, 2]: gx = floor((x - x_min) * n /
+    (x_max - x_min)) for x in [x_min, x_max), gy likewise, clipped to n - 1 where rounding
+    below the top edge reaches n (before the int cast, as in depth_to_bins); -1 out of range."""
     xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
     ok = (
         (xy[:, 0] >= cfg.x_min)
@@ -201,11 +176,9 @@ def bev_indices(xy: np.ndarray, cfg: BEVConfig):
         & (xy[:, 1] >= cfg.y_min)
         & (xy[:, 1] < cfg.y_max)
     )
-    gx = np.floor((xy[:, 0] - cfg.x_min) * cfg.n / (cfg.x_max - cfg.x_min)).astype(np.int64)
-    gy = np.floor((xy[:, 1] - cfg.y_min) * cfg.n / (cfg.y_max - cfg.y_min)).astype(np.int64)
-    gx = np.clip(gx, 0, cfg.n - 1)
-    gy = np.clip(gy, 0, cfg.n - 1)
-    return np.where(ok, gx, -1), np.where(ok, gy, -1), ok
+    gx = np.clip(np.floor((xy[:, 0] - cfg.x_min) * cfg.n / (cfg.x_max - cfg.x_min)), 0, cfg.n - 1)
+    gy = np.clip(np.floor((xy[:, 1] - cfg.y_min) * cfg.n / (cfg.y_max - cfg.y_min)), 0, cfg.n - 1)
+    return np.where(ok, gx.astype(np.int64), -1), np.where(ok, gy.astype(np.int64), -1), ok
 
 
 def rotation_z(yaw: float) -> np.ndarray:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .geometry import BEVConfig, bev_index
-from .numerics import NumericError, Tensor
+from .geometry import BEVConfig, bev_indices
+from .numerics import PROB_FLOOR, NumericError, Tensor
 from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
 
-PROB_FLOOR = 1e-7
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
 
@@ -281,11 +280,11 @@ def heatmap_target(gt_boxes, bev_cfg: BEVConfig, class_count: int) -> np.ndarray
     _check_class_ids(gt_boxes, class_count)
     n = bev_cfg.n
     target = np.zeros((n, n, class_count))
-    for box in gt_boxes:
-        cell = bev_index(box.center[0], box.center[1], bev_cfg)
-        if cell is None:
+    centers = np.array([box.center[:2] for box in gt_boxes]).reshape(-1, 2)
+    cells_x, cells_y, in_range = bev_indices(centers, bev_cfg)
+    for box, gx, gy, inside in zip(gt_boxes, cells_x.tolist(), cells_y.tolist(), in_range):
+        if not inside:
             continue
-        gx, gy = cell
         radius = max(
             1, int(round(min(box.size[0], box.size[1]) / (2.0 * min(bev_cfg.cell_w, bev_cfg.cell_h))))
         )

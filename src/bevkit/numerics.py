@@ -29,37 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "NumericError",
-    "DimensionError",
-    "Tensor",
-    "Tape",
-    "TapeNode",
-    "active_tape",
-    "backward",
-    "finite_diff_check",
-    "LinearParams",
-    "add",
-    "mul",
-    "sub",
-    "linear",
-    "matmul",
-    "concat",
-    "gather_rows",
-    "scatter_add",
-    "softmax",
-    "sigmoid",
-    "relu",
-    "log",
-    "exp",
-    "clamp",
-    "sum",
-    "mean",
-    "reshape",
-    "permute",
-    "save_tensor",
-    "load_tensor",
-]
+PROB_FLOOR = 1e-7  # the losses clamp probabilities to [PROB_FLOOR, 1 - PROB_FLOOR] before a log
+
+# Ops that make only finite values from finite inputs (clamp checks its bounds); no scan.
+_FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu", "clamp"})
 
 
 class NumericError(ArithmeticError):
@@ -90,6 +63,15 @@ class Tensor:
         arr.flags.writeable = False
         self.data = arr
         self.id = next(_tensor_ids)
+
+    @classmethod
+    def _unscanned(cls, data) -> Tensor:
+        """The constructor without the NaN/Inf scan, for data already known finite."""
+        t = cls.__new__(cls)
+        t.data = np.ascontiguousarray(data, dtype=np.float64)
+        t.data.flags.writeable = False
+        t.id = next(_tensor_ids)
+        return t
 
     @property
     def shape(self):
@@ -196,14 +178,15 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
                         raise NumericError(
                             f"{node.op} at tape node {index}: a leaf's gradient contains NaN or Inf"
                         )
-    tape.gradients = {k: Tensor(v) for k, v in raw.items()}
+    # Only leaves are left, and each was checked after its last add.
+    tape.gradients = {k: Tensor._unscanned(v) for k, v in raw.items()}
     return tape.gradients
 
 
 def _emit(op, inputs, out_arr, saved, vjp) -> Tensor:
     tape = active_tape()
     try:
-        out = Tensor(out_arr)
+        out = Tensor._unscanned(out_arr) if op in _FINITE_OPS else Tensor(out_arr)
     except NumericError as err:
         shapes = ", ".join(str(t.shape) for t in inputs)
         node = "" if tape is None else f" at tape node {len(tape.nodes)}"
@@ -402,7 +385,9 @@ def exp(x: Tensor) -> Tensor:
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient is zero where the clamp is active."""
+    """Clip to finite bounds [lo, hi]; gradient is zero where the clamp is active."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericError(f"clamp: bounds must be finite, got [{lo}, {hi}]")
     inside = (x.data > lo) & (x.data < hi)
     return _emit(
         "clamp", (x,), np.clip(x.data, lo, hi), (lo, hi), lambda g: (g * inside,)
@@ -531,4 +516,4 @@ def tensor_from_bytes(blob: bytes, origin: str = "<bytes>") -> Tensor:
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"{origin}: payload holds NaN or Inf")
-    return Tensor(arr)
+    return Tensor._unscanned(arr)

@@ -12,7 +12,16 @@ import math
 
 import numpy as np
 
-from .geometry import BEVConfig, CameraParams, DepthBins, bev_index
+from .geometry import BEVConfig, CameraParams, DepthBins
+
+
+def bev_index(x: float, y: float, cfg: BEVConfig):
+    """(gx, gy) owner cell of a ground point, or None outside the half-open BEV range."""
+    if not (cfg.x_min <= x < cfg.x_max and cfg.y_min <= y < cfg.y_max):
+        return None
+    gx = int((x - cfg.x_min) * cfg.n / (cfg.x_max - cfg.x_min))
+    gy = int((y - cfg.y_min) * cfg.n / (cfg.y_max - cfg.y_min))
+    return min(gx, cfg.n - 1), min(gy, cfg.n - 1)
 
 
 def _pinhole_inverse(u: float, v: float, depth: float, cam: CameraParams) -> np.ndarray:
@@ -20,6 +29,20 @@ def _pinhole_inverse(u: float, v: float, depth: float, cam: CameraParams) -> np.
     x = (u - cam.cx) / cam.fx * depth
     y = (v - cam.cy) / cam.fy * depth
     return ((np.array([[x, y, depth]]) - cam.translation) @ cam.rotation)[0]
+
+
+def _ray_sample_cells(dist: np.ndarray, cam: CameraParams, bins: DepthBins, bev_cfg: BEVConfig):
+    """(row, col, bin, cell) for every (feature pixel, depth bin) sample of one camera;
+    cell is None where the bin-centre point falls off the grid."""
+    hp, wp, d_count = dist.shape
+    stride = cam.width // wp
+    for row in range(hp):
+        for col in range(wp):
+            u = (col + 0.5) * stride - 0.5
+            v = (row + 0.5) * stride - 0.5
+            for d in range(d_count):
+                world = _pinhole_inverse(u, v, bins.d_min + (d + 0.5) * bins.delta, cam)
+                yield row, col, d, bev_index(world[0], world[1], bev_cfg)
 
 
 def ray_stream_oracle(
@@ -33,19 +56,9 @@ def ray_stream_oracle(
     n = bev_cfg.n
     out = np.zeros((n, n, contexts[0].shape[2]))
     for ctx, dist, cam in zip(contexts, dists, cams):
-        hp, wp, d_count = dist.shape
-        stride = cam.width // wp
-        for row in range(hp):
-            for col in range(wp):
-                u = (col + 0.5) * stride - 0.5
-                v = (row + 0.5) * stride - 0.5
-                for d in range(d_count):
-                    depth = bins.d_min + (d + 0.5) * bins.delta
-                    world = _pinhole_inverse(u, v, depth, cam)
-                    cell = bev_index(world[0], world[1], bev_cfg)
-                    if cell is None:
-                        continue
-                    out[cell[0], cell[1]] += ctx[row, col] * dist[row, col, d]
+        for row, col, d, cell in _ray_sample_cells(dist, cam, bins, bev_cfg):
+            if cell is not None:
+                out[cell] += ctx[row, col] * dist[row, col, d]
     return out
 
 
@@ -56,25 +69,13 @@ def ray_pixel_cell_counts(
     bev_cfg: BEVConfig,
 ) -> list[int]:
     """Per (camera, pixel): how many distinct BEV cells receive nonzero mass."""
-    counts = []
-    for dist, cam in zip(dists, cams):
-        hp, wp, d_count = dist.shape
-        stride = cam.width // wp
-        for row in range(hp):
-            for col in range(wp):
-                u = (col + 0.5) * stride - 0.5
-                v = (row + 0.5) * stride - 0.5
-                touched = set()
-                for d in range(d_count):
-                    if dist[row, col, d] == 0.0:
-                        continue
-                    depth = bins.d_min + (d + 0.5) * bins.delta
-                    world = _pinhole_inverse(u, v, depth, cam)
-                    cell = bev_index(world[0], world[1], bev_cfg)
-                    if cell is not None:
-                        touched.add(cell)
-                counts.append(len(touched))
-    return counts
+    touched: dict[tuple, set] = {}
+    for k, (dist, cam) in enumerate(zip(dists, cams)):
+        for row, col, d, cell in _ray_sample_cells(dist, cam, bins, bev_cfg):
+            cells = touched.setdefault((k, row, col), set())
+            if cell is not None and dist[row, col, d] != 0.0:
+                cells.add(cell)
+    return [len(cells) for cells in touched.values()]
 
 
 def point_stream_oracle(
@@ -109,6 +110,34 @@ def point_stream_oracle(
     nz = counts > 0
     sums[nz] /= counts[nz][:, None]
     return sums
+
+
+def convex_overlap_area(a, b) -> float:
+    """Area shared by two convex polygons [k, 2] of either winding: Sutherland-Hodgman
+    clips a by each edge of b in turn, and the shoelace formula measures what is left."""
+
+    def signed_area(poly):
+        return 0.5 * sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1]))
+
+    subject = [(float(x), float(y)) for x, y in a]
+    clip = [(float(x), float(y)) for x, y in b]
+    # Inside an edge is to its left on a counter-clockwise b, to its right otherwise.
+    sign = 1.0 if signed_area(clip) > 0 else -1.0
+    for c0, c1 in zip(clip, clip[1:] + clip[:1]):
+        ex, ey = c1[0] - c0[0], c1[1] - c0[1]
+        kept = []
+        for p, q in zip(subject, subject[1:] + subject[:1]):
+            sp = sign * (ex * (p[1] - c0[1]) - ey * (p[0] - c0[0]))
+            sq = sign * (ex * (q[1] - c0[1]) - ey * (q[0] - c0[0]))
+            if sp >= 0:
+                kept.append(p)
+            if (sp >= 0) != (sq >= 0):
+                t = sp / (sp - sq)
+                kept.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        subject = kept
+        if not subject:
+            return 0.0
+    return abs(signed_area(subject))
 
 
 def conv2d_oracle(image: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -41,8 +41,7 @@ from .geometry import (
     unproject_points,
 )
 from .layers import ConvBlockParams, LinearParams, conv_block
-from .losses import PROB_FLOOR
-from .numerics import DimensionError, Tensor
+from .numerics import PROB_FLOOR, DimensionError, Tensor
 
 
 @dataclass(frozen=True)

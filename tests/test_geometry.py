@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bevkit import geometry as geo
+from bevkit import oracles
 from bevkit import scene as sc
 from bevkit.geometry import BEVConfig, CameraParams, DepthBins
 
@@ -32,47 +33,70 @@ def identity_camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=100, height=100):
     )
 
 
+def project_one(point, cam):
+    """(u, v, depth, in_view) of one world point through project_points."""
+    uv, z, ok = geo.project_points(np.asarray(point, dtype=np.float64)[None, :], cam)
+    assert uv.shape == (1, 2) and z.shape == (1,) and ok.shape == (1,)
+    return float(uv[0, 0]), float(uv[0, 1]), float(z[0]), bool(ok[0])
+
+
+def unproject_one(u, v, depth, cam):
+    """World point of pixel (u, v) at one depth through unproject_points."""
+    world = geo.unproject_points(np.array([[u, v]]), np.array([depth]), cam)
+    assert world.shape == (1, 3)
+    return world[0]
+
+
 class TestProject:
     def test_optical_axis(self):
         cam = identity_camera()
-        assert geo.project(np.array([0.0, 0.0, 5.0]), cam) == (0.0, 0.0, 5.0)
+        assert project_one([0.0, 0.0, 5.0], cam) == (0.0, 0.0, 5.0, True)
 
     def test_forced_values(self):
         cam = identity_camera(fx=2.0, fy=2.0, cx=10.0, cy=10.0)
-        u, v, d = geo.project(np.array([1.0, 1.0, 2.0]), cam)
-        assert (u, v, d) == (11.0, 11.0, 2.0)
+        assert project_one([1.0, 1.0, 2.0], cam) == (11.0, 11.0, 2.0, True)
 
     def test_behind_camera(self):
         cam = identity_camera(cx=50.0, cy=50.0)
-        assert geo.project(np.array([0.0, 0.0, -1.0]), cam) is None
+        assert project_one([0.0, 0.0, -1.0], cam)[3] is False
 
     def test_outside_image_bounds(self):
         cam = identity_camera(fx=1.0, cx=0.0, cy=0.0)
-        assert geo.project(np.array([500.0, 0.0, 1.0]), cam) is None
+        assert project_one([500.0, 0.0, 1.0], cam)[3] is False
+
+    def test_mask_flags_each_point(self):
+        cam = identity_camera(cx=50.0, cy=50.0)
+        points = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -1.0], [500.0, 0.0, 1.0], [1.0, -2.0, 4.0]])
+        _, _, ok = geo.project_points(points, cam)
+        assert ok.tolist() == [True, False, False, True]
 
 
 class TestUnproject:
     def test_principal_point(self):
         cam = identity_camera(cx=5.0, cy=7.0)
-        np.testing.assert_allclose(geo.unproject(5.0, 7.0, 3.0, cam), [0, 0, 3], atol=1e-12)
+        np.testing.assert_allclose(unproject_one(5.0, 7.0, 3.0, cam), [0, 0, 3], atol=1e-12)
 
     def test_similar_triangles(self):
         cam = identity_camera()
-        np.testing.assert_allclose(geo.unproject(2.0, 0.0, 3.0, cam), [6.0, 0.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(unproject_one(2.0, 0.0, 3.0, cam), [6.0, 0.0, 3.0], atol=1e-12)
 
     def test_rejects_non_positive_depth(self):
         cam = identity_camera()
-        with pytest.raises(ValueError):
-            geo.unproject(0.0, 0.0, 0.0, cam)
+        for depth in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive depth"):
+                unproject_one(0.0, 0.0, depth, cam)
+            with pytest.raises(ValueError, match="positive depth"):
+                geo.unproject_points(np.zeros((3, 2)), np.array([1.0, depth, 2.0]), cam)
 
     def test_roundtrip_random_cameras(self):
         rng = np.random.default_rng(5)
-        cam = random_camera(rng)
-        p = np.array([3.0, 4.0, 7.0])
-        res = geo.project(p, cam)
-        if res is not None:
-            u, v, d = res
-            np.testing.assert_allclose(geo.unproject(u, v, d, cam), p, atol=1e-9)
+        for _ in range(5):
+            cam = random_camera(rng)
+            # 7 m down the optical axis, off it by up to 1 m: in view for these cameras
+            p = cam.center + cam.rotation.T @ np.array([*rng.uniform(-1, 1, 2), 7.0])
+            u, v, d, ok = project_one(p, cam)
+            assert ok
+            np.testing.assert_allclose(unproject_one(u, v, d, cam), p, atol=1e-9)
 
 
 def test_roundtrip_acceptance_scale():
@@ -97,57 +121,91 @@ def test_roundtrip_acceptance_scale():
     assert time.monotonic() - start < 1.0
 
 
+def depth_bin(depth, bins):
+    """(index, in_range) of one depth through depth_to_bins."""
+    idx, ok = geo.depth_to_bins(np.array([depth]), bins)
+    return int(idx[0]), bool(ok[0])
+
+
 class TestDepthBins:
     BINS = DepthBins(1.0, 5.0, 4)
+    # Rounding just below d_max reaches count: (d - d_min) / delta == 166.0 here.
+    TOP_EDGE = DepthBins(0.5580411514589055, 31.808839825241403, 166)
 
     def test_interior(self):
-        assert geo.depth_to_bin(2.5, self.BINS) == 1
+        assert depth_bin(2.5, self.BINS) == (1, True)
 
     def test_boundaries(self):
-        assert geo.depth_to_bin(1.0, self.BINS) == 0
-        assert geo.depth_to_bin(5.0 - 1e-9, self.BINS) == 3
+        assert depth_bin(1.0, self.BINS) == (0, True)
+        assert depth_bin(5.0 - 1e-9, self.BINS) == (3, True)
 
     def test_half_open_top(self):
-        assert geo.depth_to_bin(5.0, self.BINS) is None
-        assert geo.depth_to_bin(0.5, self.BINS) is None
+        assert depth_bin(5.0, self.BINS) == (-1, False)
+        assert depth_bin(0.5, self.BINS) == (-1, False)
 
     def test_partition_property(self):
         rng = np.random.default_rng(9)
-        depths = rng.uniform(0.0, 6.0, 500)
-        idx, ok = geo.depth_to_bins(depths, self.BINS)
-        for d, i, o in zip(depths, idx, ok):
-            scalar = geo.depth_to_bin(float(d), self.BINS)
-            assert (scalar is None) == (not o)
-            if o:
-                assert scalar == i
-                assert 0 <= i < self.BINS.count
+        for bins in (self.BINS, self.TOP_EDGE):
+            depths = rng.uniform(0.0, bins.d_max * 1.2, 500)
+            idx, ok = geo.depth_to_bins(depths, bins)
+            assert np.array_equal(ok, (bins.d_min <= depths) & (depths < bins.d_max))
+            assert (idx[~ok] == -1).all()
+            assert ((idx[ok] >= 0) & (idx[ok] < bins.count)).all()
+            offset = np.abs(depths[ok] - bins.centers()[idx[ok]])
+            assert (offset <= bins.delta / 2 * (1 + 1e-9)).all()
+
+    def test_just_below_d_max_is_the_last_bin(self):
+        rng = np.random.default_rng(17)
+        configs = [self.BINS, self.TOP_EDGE]
+        for _ in range(200):
+            d_min = rng.uniform(0.01, 5.0)
+            configs.append(DepthBins(d_min, d_min + rng.uniform(0.1, 60.0), int(rng.integers(1, 300))))
+        for bins in configs:
+            top = np.nextafter(bins.d_max, 0.0)
+            assert depth_bin(top, bins) == (bins.count - 1, True), bins
+            assert depth_bin(bins.d_max, bins) == (-1, False)
+        assert (31.8088398252414 - self.TOP_EDGE.d_min) / self.TOP_EDGE.delta == 166.0
+
+    def test_far_depths_are_out_of_range(self):
+        idx, ok = geo.depth_to_bins(np.array([-1e300, 1e300]), self.BINS)
+        assert idx.tolist() == [-1, -1] and not ok.any()
 
 
 class TestBevIndex:
     def test_full_scale_center_cell(self):
         cfg = geo.full_scale_bev_config()
         assert cfg.n == 180
-        assert geo.bev_index(0.0, 0.0, cfg) == (90, 90)
+        gx, gy, ok = geo.bev_indices([[0.0, 0.0]], cfg)
+        assert (gx.tolist(), gy.tolist(), ok.tolist()) == ([90], [90], [True])
 
     def test_lower_edge(self):
         cfg = BEVConfig(-54.0, 54.0, -54.0, 54.0, 180)
-        assert geo.bev_index(-54.0, 0.0, cfg)[0] == 0
+        gx, _, ok = geo.bev_indices([[-54.0, 0.0]], cfg)
+        assert gx[0] == 0 and ok[0]
 
     def test_upper_edge_out_of_range(self):
         cfg = BEVConfig(-54.0, 54.0, -54.0, 54.0, 180)
-        assert geo.bev_index(54.0, 0.0, cfg) is None
+        gx, gy, ok = geo.bev_indices([[54.0, 0.0], [0.0, 54.0]], cfg)
+        assert gx.tolist() == gy.tolist() == [-1, -1] and not ok.any()
+
+    def test_far_points_are_out_of_range(self):
+        gx, gy, ok = geo.bev_indices([[1e300, 0.0], [0.0, -1e19]], geo.desk_bev_config())
+        assert gx.tolist() == gy.tolist() == [-1, -1] and not ok.any()
 
     def test_partition_property(self):
-        cfg = geo.desk_bev_config()
+        """Every point agrees with the oracle's hand-written cell lookup."""
         rng = np.random.default_rng(3)
-        xy = rng.uniform(-10, 10, size=(500, 2))
-        gx, gy, ok = geo.bev_indices(xy, cfg)
-        for (x, y), a, b, o in zip(xy, gx, gy, ok):
-            scalar = geo.bev_index(float(x), float(y), cfg)
-            assert (scalar is None) == (not o)
-            if o:
-                assert scalar == (a, b)
-                assert 0 <= a < cfg.n and 0 <= b < cfg.n
+        for cfg in (geo.desk_bev_config(), BEVConfig(-2.0, 1.5, -1.0, 2.5, 7)):
+            xy = rng.uniform(-10, 10, size=(500, 2))
+            gx, gy, ok = geo.bev_indices(xy, cfg)
+            for (x, y), a, b, o in zip(xy, gx, gy, ok):
+                expected = oracles.bev_index(float(x), float(y), cfg)
+                assert (expected is None) == (not o)
+                if o:
+                    assert expected == (a, b)
+                    assert 0 <= a < cfg.n and 0 <= b < cfg.n
+                else:
+                    assert a == b == -1
 
 
 class TestCameraValidation:

@@ -9,9 +9,10 @@ from bevkit import numerics as nm
 from bevkit import oracles
 from bevkit import predictor as pr
 from bevkit import view_transform as vt
-from bevkit.geometry import BEVConfig, bev_index
+from bevkit.geometry import BEVConfig
 from bevkit.layers import ffn_init
 from bevkit.numerics import NumericError, Tensor
+from bevkit.oracles import bev_index
 from bevkit.scene import ObjectBox
 
 
@@ -269,6 +270,16 @@ class TestHeatmapLoss:
         assert target[..., 0].max() == 0.0
         # radius at least one cell: neighbors are positive
         assert target[gx + 1, gy, 1] > 0.0
+
+    def test_boxes_off_the_grid_are_dropped(self):
+        crop = BEVConfig(-2.0, 1.5, -1.0, 2.5, 7)
+        inside = [gt_box(1.0, -0.4, cls=0)]
+        off = [gt_box(2.0, 0.0, cls=1), gt_box(-5.0, 1.0, cls=1), gt_box(1e19, -1e300, cls=1)]
+        target = ls.heatmap_target(inside + off, crop, 2)
+        assert np.array_equal(target, ls.heatmap_target(inside, crop, 2))
+        gx, gy = bev_index(1.0, -0.4, crop)
+        assert target[gx, gy, 0] == 1.0 and target[..., 1].max() == 0.0
+        assert np.array_equal(ls.heatmap_target([], crop, 2), np.zeros((7, 7, 2)))
 
     def test_gradient(self):
         boxes = [gt_box(0.8, 0.6, cls=0)]

@@ -294,6 +294,49 @@ class TestTensorContract:
         assert a.id != b.id
 
 
+
+class TestUnscannedOps:
+    """The data-movement ops, relu and clamp build their outputs without the NaN/Inf scan."""
+
+    def test_the_six_ops(self):
+        assert nm._FINITE_OPS == {"reshape", "permute", "gather_rows", "concat", "relu", "clamp"}
+
+    def test_outputs_are_read_only_contiguous_with_fresh_ids(self):
+        x = tensor(np.arange(-3.0, 3.0).reshape(2, 3))
+        outs = [
+            nm.reshape(x, (3, 2)),
+            nm.permute(x, (1, 0)),
+            nm.gather_rows(x, [1, 0, 1]),
+            nm.concat([x, x], axis=1),
+            nm.relu(x),
+            nm.clamp(x, -1.0, 1.0),
+        ]
+        wants = [
+            x.data.reshape(3, 2),
+            x.data.T,
+            x.data[[1, 0, 1]],
+            np.concatenate([x.data, x.data], axis=1),
+            np.maximum(x.data, 0.0),
+            np.clip(x.data, -1.0, 1.0),
+        ]
+        assert len({t.id for t in outs + [x]}) == len(outs) + 1
+        for out, want in zip(outs, wants):
+            assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
+            assert not out.data.flags.writeable
+            assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)])
+    def test_clamp_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(NumericError, match=r"^clamp: bounds must be finite"):
+            nm.clamp(tensor([0.5, 2.0]), lo, hi)
+
+    def test_leaf_gradients_are_read_only(self):
+        x = tensor([1.0, -2.0])
+        with Tape() as tape:
+            backward(tape, nm.sum(nm.mul(x, x)))
+        g = tape.grad(x)
+        assert np.array_equal(g.data, [2.0, -4.0]) and not g.data.flags.writeable
+
 class TestNanNamesOp:
     def test_outside_tape(self):
         with pytest.raises(NumericError, match=r"^log on inputs \(1,\): tensor contains NaN or Inf"):

@@ -48,9 +48,9 @@ def test_oracles_import_only_geometry_from_bevkit():
 
 
 def test_oracles_import_no_production_geometry():
-    """The oracles take config and camera types and the scalar cell lookup from
-    geometry; unproject, unproject_points, project_points, bev_indices and
-    depth_to_bins are what the production paths compute with."""
+    """The oracles take only config and camera types from geometry and write every
+    rule they check by hand; project_points, unproject_points, depth_to_bins and
+    bev_indices are what the production paths compute with."""
     tree = ast.parse((Path(bevkit.__file__).parent / "oracles.py").read_text())
     names = {
         alias.name
@@ -58,7 +58,21 @@ def test_oracles_import_no_production_geometry():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "geometry"
         for alias in node.names
     }
-    assert names == {"BEVConfig", "CameraParams", "DepthBins", "bev_index"}
+    assert names == {"BEVConfig", "CameraParams", "DepthBins"}
+
+
+def test_no_production_module_imports_the_oracles():
+    package = Path(bevkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "oracles.py":
+            imported = set(_bevkit_modules_imported(ast.parse(path.read_text())))
+            assert "oracles" not in imported, path.name
+
+
+def test_view_transform_imports_nothing_from_losses():
+    """The camera branch does not depend on the losses, nor through them on the heads."""
+    tree = ast.parse((Path(bevkit.__file__).parent / "view_transform.py").read_text())
+    assert "losses" not in set(_bevkit_modules_imported(tree))
 
 
 def test_metrics_import_nothing_from_bevkit():

@@ -448,7 +448,7 @@ class TestBoxCodec:
                 velocity=rng.uniform(-2, 2, size=2),
                 class_id=0,
             )
-            from bevkit.geometry import bev_index
+            from bevkit.oracles import bev_index
 
             cell = bev_index(box.center[0], box.center[1], BEV16)
             enc = pr.encode_box_for_cell(box, cell, BEV16)
@@ -477,7 +477,7 @@ def test_exact_encodings_score_perfectly():
     """Exact encodings of the ground truth, decoded and scored by the evaluator,
     give a perfect mAP and no translation error."""
     from bevkit import metrics
-    from bevkit.geometry import bev_index
+    from bevkit.oracles import bev_index
     from bevkit.scene import generate_scene
 
     gt_scenes, det_scenes = [], []
@@ -518,7 +518,7 @@ def test_oracle_heatmap_end_to_end_centers():
         ObjectBox(center=np.array([-4.0, 5.0, 0.5]), size=np.array([1.0, 1.0, 1.0]),
                   yaw=-0.2, velocity=np.zeros(2), class_id=0),
     ]
-    from bevkit.geometry import bev_index
+    from bevkit.oracles import bev_index
 
     heat = np.zeros((16, 16, 3))
     for b in boxes:

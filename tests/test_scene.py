@@ -6,6 +6,7 @@ import pytest
 
 from bevkit import geometry as geo
 from bevkit import numerics as nm
+from bevkit import oracles
 from bevkit import scene as sc
 from bevkit.geometry import BEVConfig
 from bevkit.scene import ObjectBox, PlacementError, Scene
@@ -70,6 +71,24 @@ class TestGenerateScene:
         with pytest.raises(PlacementError):
             sc.generate_scene(30, tiny, seed=0)
 
+    def test_footprints_disjoint_overlap_oracle(self):
+        scene = sc.generate_scene(5, DESK, seed=7)
+        fps = [b.footprint() for b in scene.boxes]
+        for i in range(len(fps)):
+            for j in range(i + 1, len(fps)):
+                assert oracles.convex_overlap_area(fps[i], fps[j]) < 1e-12
+
+    def test_sat_agrees_with_overlap_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        overlapping = 0
+        for _ in range(200):
+            a = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
+            b = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
+            ours = sc.footprints_overlap(a.footprint(), b.footprint())
+            assert ours == (oracles.convex_overlap_area(a.footprint(), b.footprint()) > 1e-12)
+            overlapping += ours
+        assert 0 < overlapping < 200
+
     def test_sat_agrees_with_shapely_on_random_pairs(self):
         shapely = pytest.importorskip("shapely.geometry")
         rng = np.random.default_rng(11)
@@ -80,6 +99,26 @@ class TestGenerateScene:
             theirs = shapely.Polygon(a.footprint()).intersection(shapely.Polygon(b.footprint())).area > 1e-12
             assert ours == theirs
 
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+class TestConvexOverlapOracle:
+    @pytest.mark.parametrize("other, area", [
+        (UNIT_SQUARE + [0.5, 0.0], 0.5),  # half covered
+        (UNIT_SQUARE + [0.5, 0.5], 0.25),  # a corner quarter
+        (UNIT_SQUARE * 0.5 + 0.25, 0.25),  # nested
+        (UNIT_SQUARE, 1.0),  # identical
+        (UNIT_SQUARE + [1.0, 0.0], 0.0),  # sharing an edge
+        (UNIT_SQUARE + [1.0, 1.0], 0.0),  # sharing a corner
+        (UNIT_SQUARE + [3.0, 0.0], 0.0),  # apart
+        (np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]]), 0.5),  # inscribed diamond
+    ])
+    def test_known_areas_in_either_order_and_winding(self, other, area):
+        for a, b in ((UNIT_SQUARE, other), (other, UNIT_SQUARE)):
+            for a_w, b_w in ((a, b), (a[::-1], b), (a, b[::-1]), (a[::-1], b[::-1])):
+                assert oracles.convex_overlap_area(a_w, b_w) == pytest.approx(area, abs=1e-15)
 
 def circle_of(b):
     return b.center[:2], 0.5 * math.hypot(b.size[0], b.size[1])
@@ -694,8 +733,7 @@ class TestPointCloudIO:
         sc.save_point_cloud(path, pc)
         back = sc.load_point_cloud(path)
         assert len(back) == len(pc)
-        # stored as f32; roundtrip is exact at f32 resolution
-        np.testing.assert_allclose(back.points, pc.points, atol=1e-5)
+        assert np.array_equal(back.points, pc.points)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bkp"

@@ -174,7 +174,7 @@ class TestDepthGroundTruth:
         ]))
         gt = vt.depth_ground_truth(pc, cam, BINS, stride=2)
         py, px = np.argwhere(gt.mask == 1)[0]
-        assert gt.onehot[py, px].argmax() == geo.depth_to_bin(2.0, BINS)
+        assert gt.onehot[py, px].argmax() == 1  # the nearer depth 2.0 -> bin 1
 
     def test_empty_cloud_all_masked_out(self):
         gt = vt.depth_ground_truth(sc.PointCloud(np.zeros((0, 5))), make_camera(), BINS, 2)
@@ -398,7 +398,7 @@ class TestPointStream:
         pc = sc.PointCloud(np.array([[0.5, 0.25, 4.0, 1.0, 0.0]]))
         # identity pose: camera looks along +z; point at z=4 -> pixel (9, 8.5)
         out = vt.point_stream(pc, [Tensor(feat)], [cam], BEV16)
-        cell = geo.bev_index(0.5, 0.25, BEV16)
+        cell = oracles.bev_index(0.5, 0.25, BEV16)
         u = 8 + 8 * 0.5 / 4.0
         v = 8 + 8 * 0.25 / 4.0
         np.testing.assert_allclose(
