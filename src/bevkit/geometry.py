@@ -1,4 +1,4 @@
-"""Pinhole cameras, rigid poses, depth binning, and BEV grid indexing.
+"""Pinhole cameras, rigid poses, depth binning, BEV grid indexing, and the rig file format.
 
 Conventions used throughout the package:
   - camera-from-world pose: p_cam = R @ p_world + t, camera looks along +z,
@@ -8,10 +8,18 @@ Conventions used throughout the package:
   - each rule is one vectorized function over arrays of points, and an
     out-of-view or out-of-range entry is flagged False in its boolean mask
     (index -1 where the rule returns one), never an error.
+
+Rig and scene files share one INI text format, written by write_ini and read by read_ini
+from a table {form: (build, {key: parse})}. One rule holds for every section: its header is
+exactly "KIND <name>" for a form "KIND NAME" or "KIND" for a form "KIND", it holds exactly
+its form's keys, and sections come in any order. Any other header, key set or value raises
+a ValueError naming the file and the section. A rig file is "[camera NAME]" sections.
 """
 
 from __future__ import annotations
 
+import configparser
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,66 +213,74 @@ def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)):
     return R, t
 
 
-# --- camera rig description file: "[camera NAME]" sections, key = value ---
+# --- the INI text format of rig and scene files (see the module docstring) ---
 
 
-def save_rig(path, cameras: list[CameraParams]) -> None:
+def parse_floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()])
+
+
+def write_ini(path, sections) -> None:
+    """Write (header, {key: value}) sections: ints as they are, floats by repr, space-separated."""
     lines = []
-    for cam in cameras:
-        lines.append(f"[camera {cam.name}]")
-        lines.append(f"fx = {float(cam.fx)!r}")
-        lines.append(f"fy = {float(cam.fy)!r}")
-        lines.append(f"cx = {float(cam.cx)!r}")
-        lines.append(f"cy = {float(cam.cy)!r}")
-        lines.append(f"width = {cam.width}")
-        lines.append(f"height = {cam.height}")
-        lines.append("rotation = " + " ".join(repr(float(v)) for v in cam.rotation.ravel()))
-        lines.append("translation = " + " ".join(repr(float(v)) for v in cam.translation))
+    for header, fields in sections:
+        lines.append(f"[{header}]")
+        for key, value in fields.items():
+            if not isinstance(value, (int, np.integer)):
+                value = " ".join(repr(float(v)) for v in np.ravel(value))
+            lines.append(f"{key} = {value}")
         lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
 
 
-def _read_ini(path):
-    """Parse an ini file with no interpolation; any parse failure is a ValueError."""
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None)
+def read_ini(path, forms) -> dict:
+    """{header: built object} of an INI file's sections in file order, by a format table."""
+    # default_section "" matches no header, so [DEFAULT] is an unknown section; SECTCRE
+    # ends at the closing bracket, so text after it fails to parse instead of vanishing.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")
     try:
-        found = parser.read(path)
+        with open(path) as fh:
+            parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: {err}") from None
-    if not found:
-        raise FileNotFoundError(path)
-    return parser
+    built = {}
+    for header in parser.sections():
+        kind, _, name = header.partition(" ")
+        form = f"{kind} NAME" if name else header
+        if form not in forms:
+            raise ValueError(f"{path}: unknown section [{header}], expected one of {list(forms)}")
+        build, parsers = forms[form]
+        section = parser[header]
+        mismatch = sorted(parsers.keys() ^ set(section))
+        if mismatch:
+            state = "missing" if mismatch[0] in parsers else "unknown"
+            raise ValueError(f"{path}: [{header}] {state} key {mismatch[0]!r}")
+        try:
+            values = {key: parse(section[key]) for key, parse in parsers.items()}
+            built[header] = build(name, **values)
+        except ValueError as err:
+            raise ValueError(f"{path}: [{header}] {err}") from None
+    return built
+
+
+_RIG_FORMAT = {"camera NAME": (lambda name, **fields: CameraParams(name=name, **fields), {
+    "fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
+    "rotation": lambda text: parse_floats(text).reshape(3, 3), "translation": parse_floats,
+})}
+
+
+def save_rig(path, cameras: list[CameraParams]) -> None:
+    write_ini(path, [(f"camera {cam.name}", {
+        "fx": float(cam.fx), "fy": float(cam.fy), "cx": float(cam.cx), "cy": float(cam.cy),
+        "width": cam.width, "height": cam.height,
+        "rotation": cam.rotation, "translation": cam.translation,
+    }) for cam in cameras])
 
 
 def load_rig(path) -> list[CameraParams]:
-    parser = _read_ini(path)
-    cams = []
-    for section in parser.sections():
-        if not section.startswith("camera"):
-            raise ValueError(f"{path}: unknown section [{section}] in a camera rig")
-        name = section.split(None, 1)[1] if " " in section else section
-        sec = parser[section]
-        try:
-            cams.append(
-                CameraParams(
-                    fx=float(sec["fx"]),
-                    fy=float(sec["fy"]),
-                    cx=float(sec["cx"]),
-                    cy=float(sec["cy"]),
-                    width=int(sec["width"]),
-                    height=int(sec["height"]),
-                    rotation=np.array([float(v) for v in sec["rotation"].split()]).reshape(3, 3),
-                    translation=np.array([float(v) for v in sec["translation"].split()]),
-                    name=name,
-                )
-            )
-        except KeyError as err:
-            raise ValueError(f"{path}: [{section}] missing key {err}") from None
-        except ValueError as err:
-            raise ValueError(f"{path}: [{section}] {err}") from None
+    cams = list(read_ini(path, _RIG_FORMAT).values())
     if not cams:
         raise ValueError(f"{path}: no [camera ...] section")
     return cams

@@ -84,17 +84,19 @@ def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
     """Mean-pool point 5-vectors into their owner voxels; drop out-of-range."""
     pts = pc.points
     X, Y, Z = cfg.counts
-    ix = np.floor((pts[:, 0] - cfg.x_min) / cfg.size[0]).astype(np.int64)
-    iy = np.floor((pts[:, 1] - cfg.y_min) / cfg.size[1]).astype(np.int64)
-    iz = np.floor((pts[:, 2] - cfg.z_min) / cfg.size[2]).astype(np.int64)
+    # Range-checked as floats; only the kept rows are cast, so far points stay out of int64.
+    gx = np.floor((pts[:, 0] - cfg.x_min) / cfg.size[0])
+    gy = np.floor((pts[:, 1] - cfg.y_min) / cfg.size[1])
+    gz = np.floor((pts[:, 2] - cfg.z_min) / cfg.size[2])
     ok = (
         (pts[:, 0] >= cfg.x_min) & (pts[:, 0] < cfg.x_max)
         & (pts[:, 1] >= cfg.y_min) & (pts[:, 1] < cfg.y_max)
         & (pts[:, 2] >= cfg.z_min) & (pts[:, 2] < cfg.z_max)
-        & (ix < X) & (iy < Y) & (iz < Z)
+        & (gx < X) & (gy < Y) & (gz < Z)
     )
     pts = pts[ok]
-    flat = ix[ok] * (Y * Z) + iy[ok] * Z + iz[ok]
+    ix, iy, iz = (g[ok].astype(np.int64) for g in (gx, gy, gz))
+    flat = ix * (Y * Z) + iy * Z + iz
     # Canonical accumulation order: by voxel index, then by point content, so
     # the float sums are identical for any input permutation.
     order = np.lexsort((pts[:, 4], pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], flat))

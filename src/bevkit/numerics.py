@@ -406,19 +406,13 @@ def sum(x: Tensor, axis=None) -> Tensor:  # noqa: A001 - mirrors the primitive n
     return _emit("sum", (x,), out, (axis,), vjp)
 
 
-def mean(x: Tensor, axis=None) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
+def mean(x: Tensor) -> Tensor:
+    """Mean over every element."""
+    count = x.size
     if count == 0:
         raise DimensionError("mean over an empty extent")
-    out = x.data.mean(axis=axis)
     shape = x.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape) / count,)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape) / count,)
-
-    return _emit("mean", (x,), out, (axis,), vjp)
+    return _emit("mean", (x,), x.data.mean(), (), lambda g: (np.broadcast_to(g, shape) / count,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -15,7 +15,10 @@ the slab test's parallel rule, and a row subset goes through the same
 elementwise ops and matmul rows as the full arrays.
 Everything is a pure function of the seed: same inputs, bit-identical
 outputs. A point cloud is stored as a BKT1 tensor file (numerics.save_tensor)
-of its float64 [N, 5] points, so it reloads bit for bit.
+of its float64 [N, 5] points, so it reloads bit for bit. A scene file is
+geometry's INI text format under its one section rule: a [scene] section
+(seed, class_count) and a [box NAME] section per box (center, size, yaw,
+velocity, class_id).
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BEVConfig, CameraParams, _read_ini, look_at_pose, rotation_z
+from .geometry import (
+    BEVConfig, CameraParams, look_at_pose, parse_floats, read_ini, rotation_z, write_ini,
+)
 from .numerics import Tensor, load_tensor, save_tensor
 
 _RAY_EPS = 1e-9
@@ -409,26 +414,14 @@ def render_camera(scene: Scene, cam: CameraParams, channels: int):
 
 def default_rig(width: int = 64, height: int = 64) -> list[CameraParams]:
     """Two forward cameras, 60 degrees apart, tilted slightly down."""
+    eye = np.array([0.0, 0.0, 1.2])
     cams = []
-    fx = width / 2.0
-    fy = fx
     for name, yaw in (("front", 0.0), ("front_left", np.pi / 3.0)):
-        eye = np.array([0.0, 0.0, 1.2])
-        fwd = np.array([np.cos(yaw), np.sin(yaw), -0.12])
-        R, t = look_at_pose(eye, eye + fwd)
-        cams.append(
-            CameraParams(
-                fx=fx,
-                fy=fy,
-                cx=width / 2.0,
-                cy=height / 2.0,
-                width=width,
-                height=height,
-                rotation=R,
-                translation=t,
-                name=name,
-            )
-        )
+        R, t = look_at_pose(eye, eye + np.array([np.cos(yaw), np.sin(yaw), -0.12]))
+        cams.append(CameraParams(
+            fx=width / 2.0, fy=width / 2.0, cx=width / 2.0, cy=height / 2.0,
+            width=width, height=height, rotation=R, translation=t, name=name,
+        ))
     return cams
 
 
@@ -454,50 +447,30 @@ def load_point_cloud(path) -> PointCloud:
     return PointCloud(points)
 
 
+# The scene header is checked on its own (an empty Scene), before any box meets class_count.
+_SCENE_FORMAT = {
+    "scene": (lambda _, **fields: Scene((), **fields), {"seed": int, "class_count": int}),
+    "box NAME": (lambda _, **fields: ObjectBox(**fields), {
+        "center": parse_floats, "size": parse_floats, "yaw": float, "velocity": parse_floats,
+        "class_id": int,
+    }),
+}
+
+
 def save_scene(path, scene: Scene) -> None:
-    lines = ["[scene]", f"seed = {scene.seed}", f"class_count = {scene.class_count}", ""]
-    for i, box in enumerate(scene.boxes):
-        lines.append(f"[box {i}]")
-        lines.append("center = " + " ".join(repr(float(v)) for v in box.center))
-        lines.append("size = " + " ".join(repr(float(v)) for v in box.size))
-        lines.append(f"yaw = {float(box.yaw)!r}")
-        lines.append("velocity = " + " ".join(repr(float(v)) for v in box.velocity))
-        lines.append(f"class_id = {box.class_id}")
-        lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    write_ini(path, [("scene", {"seed": scene.seed, "class_count": scene.class_count})] + [(
+        f"box {i}", {"center": box.center, "size": box.size, "yaw": float(box.yaw),
+                     "velocity": box.velocity, "class_id": box.class_id},
+    ) for i, box in enumerate(scene.boxes)])
 
 
 def load_scene(path) -> Scene:
-    parser = _read_ini(path)
-    if "scene" not in parser:
+    boxes = read_ini(path, _SCENE_FORMAT)
+    head = boxes.pop("scene", None)
+    if head is None:
         raise ValueError(f"{path}: missing [scene] section")
-    try:
-        seed = int(parser["scene"].get("seed", "0"))
-        class_count = int(parser["scene"].get("class_count", "10"))
-        Scene((), seed, class_count)  # the header's checks, before any box is read
-    except ValueError as err:
-        raise ValueError(f"{path}: [scene] {err}") from None
-    boxes = []
-    for section in parser.sections():
-        if not section.startswith("box"):
-            continue
-        sec = parser[section]
-        try:
-            box = ObjectBox(
-                center=np.array([float(v) for v in sec["center"].split()]),
-                size=np.array([float(v) for v in sec["size"].split()]),
-                yaw=float(sec["yaw"]),
-                velocity=np.array([float(v) for v in sec["velocity"].split()]),
-                class_id=int(sec["class_id"]),
-            )
-        except KeyError as err:
-            raise ValueError(f"{path}: [{section}] missing key {err}") from None
-        except ValueError as err:
-            raise ValueError(f"{path}: [{section}] {err}") from None
-        if box.class_id >= class_count:
-            raise ValueError(
-                f"{path}: [{section}] class_id {box.class_id} >= class_count {class_count}"
-            )
-        boxes.append(box)
-    return Scene(boxes=tuple(boxes), seed=seed, class_count=class_count)
+    for header, box in boxes.items():
+        if box.class_id >= head.class_count:
+            raise ValueError(f"{path}: [{header}] class_id {box.class_id} >= class_count "
+                             f"{head.class_count}")
+    return Scene(tuple(boxes.values()), head.seed, head.class_count)

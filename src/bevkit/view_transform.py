@@ -82,6 +82,8 @@ def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int = 2) -> Tenso
     shuffle: with kernel == stride there is no overlap, so this is the exact
     transposed-convolution equivalent.
     """
+    if lr_feat.ndim != 3:
+        raise DimensionError(f"upsample_hr: LR feature {lr_feat.shape} is not [H, W, C]")
     h, w, c = lr_feat.shape
     cout = params.out_dim // (factor * factor)
     if cout * factor * factor != params.out_dim:
@@ -107,6 +109,10 @@ def depth_net(lr_feat: Tensor, cam: CameraParams, params: DepthNetParams):
     the two heads. The depth head ends in a per-pixel softmax, so each
     (pixel, :) slice of the distribution sums to one.
     """
+    if lr_feat.ndim != 3:
+        raise DimensionError(
+            f"depth_net: camera {cam.name}: LR feature {lr_feat.shape} is not [H, W, C]"
+        )
     hp, wp, cf = lr_feat.shape
     intr = np.array(
         [cam.fx / cam.width, cam.fy / cam.height, cam.cx / cam.width, cam.cy / cam.height]
@@ -306,12 +312,13 @@ def point_stream(
     for k, (feat, cam) in enumerate(zip(hr_feats, cams)):
         h, w, _ = feat.shape
         uv, depth, _ = project_points(pc.points[:, :3], cam)
-        px = np.rint(uv[:, 0]).astype(np.int64)
-        py = np.rint(uv[:, 1]).astype(np.int64)
-        ok = (depth > 1e-6) & (px >= 0) & (px < w) & (py >= 0) & (py < h)
+        # Range-checked as floats; only the kept pixels are cast, so far points stay out of int64.
+        u, v = np.rint(uv[:, 0]), np.rint(uv[:, 1])
+        ok = (depth > 1e-6) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
         if not ok.any():
             continue
-        seen, pix = np.flatnonzero(ok), py[ok] * w + px[ok]
+        seen = np.flatnonzero(ok)
+        pix = v[ok].astype(np.int64) * w + u[ok].astype(np.int64)
         acc[seen] += feat.data.reshape(h * w, c)[pix]
         views += ok
         placements.append((k, seen, pix))

@@ -283,3 +283,44 @@ def test_rig_with_no_cameras_rejected(tmp_path):
     geo.save_rig(path, [])
     with pytest.raises(ValueError, match=r"rig.txt: no \[camera \.\.\.\] section"):
         geo.load_rig(path)
+
+
+def test_rig_file_text_layout(tmp_path):
+    """Floats by repr (an int focal length too), ints as they are, arrays space-separated."""
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [CameraParams(8, 8, 8.5, 8, 16, 12, rotation=np.eye(3),
+                                     translation=np.array([0.0, -1.5, 2.0]), name="front")])
+    assert path.read_text() == (
+        "[camera front]\nfx = 8.0\nfy = 8.0\ncx = 8.5\ncy = 8.0\nwidth = 16\nheight = 12\n"
+        "rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0\ntranslation = 0.0 -1.5 2.0\n"
+    )
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[camera front]", "[cameras front]", r"unknown section \[cameras front\]"),
+    ("[camera front]", "[camera]", r"unknown section \[camera\]"),
+    ("[camera front]", "[camera ]", r"unknown section \[camera \]"),
+    ("[camera front]", "[DEFAULT]", r"unknown section \[DEFAULT\]"),
+    ("[camera back]", "[camera back] 2", r".*\[line 1[0-9]\]"),  # text after a header
+    ("fx = 8.0\n", "", r"\[camera front\] missing key 'fx'"),
+    ("fx = 8.0\n", "fx = 8.0\nskew = 0.0\n", r"\[camera front\] unknown key 'skew'"),
+    ("width = 16", "width = 16.5", r"\[camera front\] invalid literal for int\(\)"),
+    ("rotation = 1.0 0.0 0.0", "rotation = 1.0 0.0", r"\[camera front\] cannot reshape"),
+])
+def test_rig_section_rule(tmp_path, old, new, message):
+    """A header is exactly "camera NAME" and a section holds exactly the camera keys."""
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
+                                     translation=np.zeros(3), name=name)
+                        for name in ("front", "back")])
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError, match=rf"rig.txt: {message}"):
+        geo.load_rig(path)
+
+
+def test_rig_camera_name_is_the_rest_of_the_header(tmp_path):
+    path = tmp_path / "rig.txt"
+    cams = [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=np.zeros(3),
+                         name=name) for name in ("front left", "back")]
+    geo.save_rig(path, cams)
+    assert [cam.name for cam in geo.load_rig(path)] == ["front left", "back"]

@@ -245,3 +245,13 @@ def test_voxel_features_are_a_constant_on_the_tape():
     produced = {n.output_id for n in tape.nodes}
     leaves = {i for n in tape.nodes for i in n.input_ids} - produced
     assert leaves == {t.id for lin in (p.hidden, p.out) for t in (lin.weight, lin.bias)}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "invalid value encountered in cast" is the fault
+@pytest.mark.parametrize("far", [(1e19, 0.0, 1.0), (0.0, -1e19, 1.0), (0.0, 0.0, 1e300)])
+def test_far_point_dropped_without_a_cast(far):
+    near = [[0.1, 0.1, 0.1, 1.0, 0.0], [-3.2, 5.0, 1.3, 0.5, 0.2], [7.9, -7.9, 2.7, 2.0, 0.1]]
+    expected = lp.voxelize(cloud(near), DESK)
+    got = lp.voxelize(cloud(near + [[*far, 1.0, 0.0]]), DESK)
+    for field in ("occupied", "means", "counts"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))

@@ -434,3 +434,14 @@ class TestClassIdOutOfRange:
     def test_heatmap_target(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
             ls.heatmap_target(self.bad, BEV16, 3)
+
+
+def test_head_set_loss_with_no_candidates():
+    none = np.zeros(0, dtype=np.int64)
+    cands = pr.CandidateSet(np.zeros((0, 2), dtype=np.int64), none, np.zeros(0))
+    out = pr.HeadOutput(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, pr.BOX_DIM))))
+    loss, match = ls.head_set_loss(
+        out, cands, [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)], BEV16, ls.LossWeights()
+    )
+    assert loss.item() == 0.0
+    assert match.pairs == () and match.unmatched_ground_truths == (0, 1)

@@ -448,3 +448,17 @@ class TestScatterGather:
     def test_gather_out_of_range(self):
         with pytest.raises(DimensionError):
             nm.gather_rows(tensor([[1.0]]), np.array([2]))
+
+
+def test_backward_skips_a_branch_that_misses_the_loss():
+    x, spare = tensor([1.0, -2.0]), tensor([3.0, 4.0])
+    with Tape() as tape:
+        nm.relu(nm.add(x, spare))  # computed, never used by the loss
+        loss = nm.sum(nm.mul(x, x))
+    (dead,) = [node for node in tape.nodes if node.op == "relu"]
+    calls = []
+    dead.vjp = lambda g: calls.append(g)
+    backward(tape, loss)
+    assert calls == []
+    np.testing.assert_array_equal(tape.grad(spare).data, [0.0, 0.0])
+    np.testing.assert_array_equal(tape.grad(x).data, [2.0, -4.0])

@@ -3,6 +3,9 @@ stay independent."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,22 @@ def test_metrics_import_nothing_from_bevkit():
     """The evaluator stays a leaf: predictor imports it, and it scores any model."""
     tree = ast.parse((Path(bevkit.__file__).parent / "metrics.py").read_text())
     assert set(_bevkit_modules_imported(tree)) == set()
+
+
+def test_importing_one_module_loads_only_its_imports():
+    """The package imports submodules on first access, not all at once."""
+    src = str(Path(bevkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, bevkit.view_transform; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "bevkit.view_transform" in loaded
+    assert not {"bevkit.losses", "bevkit.predictor", "bevkit.metrics"} & set(loaded)
+
+
+def test_submodules_resolve_as_package_attributes():
+    assert bevkit.scene is importlib.import_module("bevkit.scene")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        bevkit.nope  # noqa: B018

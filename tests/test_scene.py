@@ -828,3 +828,69 @@ class TestBoxValidation:
     def test_valid_file_still_loads(self, tmp_path):
         back = sc.load_scene(self.scene_text(tmp_path, class_id=9))
         assert back.boxes[0].class_id == 9
+
+
+def test_scene_file_text_layout(tmp_path):
+    """A [scene] section, then one [box i] section per box, each followed by a blank line."""
+    boxes = (
+        ObjectBox(center=(1.0, -2.5, 0.5), size=(2.0, 1.0, 1.0), yaw=0.25,
+                  velocity=(0.5, 0.0), class_id=3),
+        ObjectBox(center=(0.0, 3.0, 0.75), size=(1.5, 1.25, 1.5), yaw=0,
+                  velocity=(0, -1), class_id=1),
+    )
+    path = tmp_path / "scene.txt"
+    sc.save_scene(path, Scene(boxes, seed=7, class_count=4))
+    assert path.read_text() == (
+        "[scene]\nseed = 7\nclass_count = 4\n\n"
+        "[box 0]\ncenter = 1.0 -2.5 0.5\nsize = 2.0 1.0 1.0\nyaw = 0.25\n"
+        "velocity = 0.5 0.0\nclass_id = 3\n\n"
+        "[box 1]\ncenter = 0.0 3.0 0.75\nsize = 1.5 1.25 1.5\nyaw = 0.0\n"
+        "velocity = 0.0 -1.0\nclass_id = 1\n"
+    )
+
+
+class TestSceneSectionRule:
+    """A header is exactly "scene" or "box NAME", and a section holds exactly its kind's keys."""
+
+    def write(self, tmp_path, old, new):
+        path = tmp_path / "scene.txt"
+        sc.save_scene(path, sc.generate_scene(2, DESK, seed=3))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[box 1]", "[bx 1]", r"unknown section \[bx 1\]"),
+        ("[box 1]", "[box]", r"unknown section \[box\]"),
+        ("[scene]", "[scene 0]", r"unknown section \[scene 0\]"),
+        ("[scene]", "[DEFAULT]", r"unknown section \[DEFAULT\]"),
+        ("seed = 3\n", "", r"\[scene\] missing key 'seed'"),
+        ("class_count = 10\n", "", r"\[scene\] missing key 'class_count'"),
+        ("class_id", "colour = red\nclass_id", r"\[box 0\] unknown key 'colour'"),
+        ("velocity = ", "# velocity = ", r"\[box 0\] missing key 'velocity'"),
+        ("yaw", "spin", r"\[box 0\] unknown key 'spin'"),
+    ])
+    def test_rejected(self, tmp_path, old, new, message):
+        path = self.write(tmp_path, old, new)
+        with pytest.raises(ValueError, match=rf"scene\.txt: {message}"):
+            sc.load_scene(path)
+
+    def test_missing_scene_section(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        sc.save_scene(path, sc.generate_scene(2, DESK, seed=3))
+        path.write_text(path.read_text().split("\n\n", 1)[1])
+        with pytest.raises(ValueError, match=r"scene\.txt: missing \[scene\] section"):
+            sc.load_scene(path)
+
+    def test_section_order_is_free(self, tmp_path):
+        scene = sc.generate_scene(3, DESK, class_count=4, seed=5)
+        path = tmp_path / "scene.txt"
+        sc.save_scene(path, scene)
+        head, *boxes = path.read_text().split("\n\n")
+        path.write_text("\n\n".join(boxes[::-1] + [head]) + "\n")
+        back = sc.load_scene(path)
+        assert (back.seed, back.class_count) == (5, 4)
+        for a, b in zip(scene.boxes[::-1], back.boxes):
+            np.testing.assert_array_equal(a.center, b.center)
+            assert a.yaw == b.yaw and a.class_id == b.class_id

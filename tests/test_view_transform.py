@@ -710,3 +710,28 @@ class TestPointStreamIsTheOpChain:
                            match="point_stream: camera back: HR feature has 5 channels, "
                                  "camera c0's has 3"):
             vt.point_stream(pc, feats, cams, BEV16)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "invalid value encountered in cast" is the fault
+def test_point_stream_drops_a_far_point_without_a_cast():
+    cam = sc.default_rig(16, 16)[0]
+    feat = Tensor(np.random.default_rng(48).normal(size=(16, 16, 3)))
+    near = [[3.0, 0.0, 0.5, 1.0, 0.0], [4.0, 0.6, 1.0, 1.0, 0.0], [2.5, -0.4, 0.2, 1.0, 0.0]]
+    expected = vt.point_stream(sc.PointCloud(np.array(near)), [feat], [cam], BEV16)
+    assert np.any(expected.data != 0.0)
+    far = sc.PointCloud(np.array(near + [[0.0, 1e19, 1.0, 1.0, 0.0]]))
+    np.testing.assert_array_equal(vt.point_stream(far, [feat], [cam], BEV16).data, expected.data)
+
+
+def test_depth_net_rejects_a_rank_2_feature():
+    p = depth_net_params(np.random.default_rng(49))
+    with pytest.raises(nm.DimensionError,
+                       match=r"depth_net: camera c: LR feature \(4, 6\) is not \[H, W, C\]"):
+        vt.depth_net(Tensor(np.zeros((4, 6))), make_camera(), p)
+
+
+def test_upsample_hr_rejects_a_rank_2_feature():
+    lin = linear_init(np.random.default_rng(50), 4 * 3, 6)
+    with pytest.raises(nm.DimensionError,
+                       match=r"upsample_hr: LR feature \(8, 6\) is not \[H, W, C\]"):
+        vt.upsample_hr(Tensor(np.zeros((8, 6))), lin, factor=2)
