@@ -13,7 +13,8 @@ Rig and scene files share one INI text format, written by write_ini and read by 
 from a table {form: (build, {key: parse})}. One rule holds for every section: its header is
 exactly "KIND <name>" for a form "KIND NAME" or "KIND" for a form "KIND", it holds exactly
 its form's keys, and sections come in any order. Any other header, key set or value raises
-a ValueError naming the file and the section. A rig file is "[camera NAME]" sections.
+a ValueError naming the file and the section, or for a line that opens with "[" but is not a
+whole unindented header, the line. A rig file is "[camera NAME]" sections.
 """
 
 from __future__ import annotations
@@ -236,13 +237,17 @@ def write_ini(path, sections) -> None:
 
 def read_ini(path, forms) -> dict:
     """{header: built object} of an INI file's sections in file order, by a format table."""
-    # default_section "" matches no header, so [DEFAULT] is an unknown section; SECTCRE
-    # ends at the closing bracket, so text after it fails to parse instead of vanishing.
+    # default_section "" matches no header, so [DEFAULT] is an unknown section. A damaged or
+    # indented header is caught first: configparser files its keys under the section before.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            lines = fh.readlines()
+        for number, text in enumerate((line.rstrip() for line in lines), 1):
+            if text.lstrip().startswith("[") and not parser.SECTCRE.match(text):
+                raise ValueError(f"{path}: [line {number}] damaged section header {text!r}")
+        parser.read_file(lines, source=str(path))
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: {err}") from None
     built = {}

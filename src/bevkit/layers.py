@@ -20,6 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import numerics as nm
 from .numerics import DimensionError, LinearParams, Tensor
 
+PROB_FLOOR = 1e-7  # binary_log_loss, the losses' one rule, clamps p to [PROB_FLOOR, 1 - PROB_FLOOR]
+
 
 @dataclass(frozen=True)
 class Conv2dParams:
@@ -191,6 +193,20 @@ def attention(queries: Tensor, memory: Tensor, p: AttentionParams):
     logits = nm.mul(nm.matmul(q, nm.permute(k, (1, 0))), scale)
     weights = nm.softmax(logits, axis=1)
     return nm.matmul(weights, v), weights
+
+
+def binary_log_loss(probs: Tensor, pos_weight, neg_weight, gamma: float) -> Tensor:
+    """-sum(pos_weight (1 - p)^gamma log p + neg_weight p^gamma log(1 - p)) for p = probs
+    clamped to [PROB_FLOOR, 1 - PROB_FLOOR]. The weights are constant arrays of probs' shape
+    that carry a loss's targets and normalisation; at gamma 0 no power term is computed."""
+    p = nm.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    log_p, log_q = nm.log(p), nm.log(nm.sub(1.0, p))
+    pos, neg = log_p, log_q
+    if gamma != 0:  # p and 1 - p are positive after the clamp: x^gamma = exp(gamma log x)
+        pos = nm.mul(nm.exp(nm.mul(log_q, gamma)), log_p)
+        neg = nm.mul(nm.exp(nm.mul(log_p, gamma)), log_q)
+    terms = nm.add(nm.mul(pos, np.negative(pos_weight)), nm.mul(neg, np.negative(neg_weight)))
+    return nm.sum(terms)
 
 
 def sinusoidal_encoding(gx, gy, dim: int) -> np.ndarray:

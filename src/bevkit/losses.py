@@ -6,11 +6,13 @@ reduced cost that cover the smaller side and every larger-side vertex with a
 nonzero potential. Among them it returns the lexicographically smallest pair
 list, built in one pass over the predictions in order. All losses run on the
 numerics tape, so their gradients come from the same backward pass as the
-rest of the model.
+rest of the model. The focal and heatmap losses, like the camera branch's
+depth loss, are one rule with their own weights: layers.binary_log_loss.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import BEVConfig, bev_indices
-from .numerics import PROB_FLOOR, NumericError, Tensor
+from .layers import PROB_FLOOR, binary_log_loss
+from .numerics import NumericError, Tensor
 from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
 
 FOCAL_ALPHA = 0.25
@@ -181,19 +184,15 @@ def focal_loss(
 ) -> Tensor:
     """Binary focal loss, mean over all elements.
 
-    targets is a {0,1} array of the same shape. Probabilities are clamped
-    to [1e-7, 1 - 1e-7] before the logs.
+    targets is a {0,1} array of the same shape. binary_log_loss clamps the
+    probabilities to [PROB_FLOOR, 1 - PROB_FLOOR] before the logs.
     """
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != probs.shape:
         raise nm.DimensionError(f"focal_loss: targets {t.shape} vs probs {probs.shape}")
-    p = nm.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = nm.sub(1.0, p)
-    # p and q are strictly positive after the clamp, so x^gamma = exp(gamma log x).
-    pos = nm.mul(nm.mul(nm.exp(nm.mul(nm.log(q), gamma)), nm.log(p)), -alpha)
-    neg = nm.mul(nm.mul(nm.exp(nm.mul(nm.log(p), gamma)), nm.log(q)), -(1.0 - alpha))
-    per_elem = nm.add(nm.mul(pos, t), nm.mul(neg, 1.0 - t))
-    return nm.mean(per_elem)
+    if t.size == 0:
+        raise nm.DimensionError("mean over an empty extent")
+    return binary_log_loss(probs, alpha * t / t.size, (1.0 - alpha) * (1.0 - t) / t.size, gamma)
 
 
 def _abs(x: Tensor) -> Tensor:
@@ -311,13 +310,8 @@ def heatmap_loss(heatmap: Tensor, target: np.ndarray) -> Tensor:
         raise nm.DimensionError(f"heatmap_loss: {heatmap.shape} vs {target.shape}")
     pos_mask = (target == 1.0).astype(np.float64)
     neg_weight = (1.0 - target) ** 4 * (1.0 - pos_mask)
-    p = nm.clamp(heatmap, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = nm.sub(1.0, p)
-    pos = nm.mul(nm.mul(nm.mul(q, q), nm.log(p)), -1.0)
-    neg = nm.mul(nm.mul(nm.mul(p, p), nm.log(q)), -1.0)
-    total = nm.add(nm.mul(pos, pos_mask), nm.mul(neg, neg_weight))
     denom = max(1.0, float(pos_mask.sum()))
-    return nm.mul(nm.sum(total), 1.0 / denom)
+    return binary_log_loss(heatmap, pos_mask / denom, neg_weight / denom, 2.0)
 
 
 def total_loss(
@@ -354,12 +348,7 @@ def total_loss(
         parts["depth"] = depth.item()
         pieces.append(nm.mul(depth, weights.lam_depth))
 
-    if not pieces:
-        total = Tensor(0.0)
-    else:
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = nm.add(total, piece)
+    total = functools.reduce(nm.add, pieces) if pieces else Tensor(0.0)
     parts["total"] = total.item()
     return total, parts
 

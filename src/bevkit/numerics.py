@@ -29,8 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-PROB_FLOOR = 1e-7  # the losses clamp probabilities to [PROB_FLOOR, 1 - PROB_FLOOR] before a log
-
 # Ops that make only finite values from finite inputs (clamp checks its bounds); no scan.
 _FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu", "clamp"})
 

@@ -149,14 +149,9 @@ def task_specific_features(
     tokens = nm.concat([q_c, q_l], axis=0)
     attended, _ = attention(tokens, tokens, params.attn)
     updated = nm.add(tokens, attended)
-    k = cands.k
-    paired = nm.concat(
-        [
-            nm.gather_rows(updated, np.arange(k)),
-            nm.gather_rows(updated, np.arange(k, 2 * k)),
-        ],
-        axis=1,
-    )
+    # Token i and token K + i, side by side: [2K, C] -> [2, K, C] -> [K, 2, C] -> [K, 2C].
+    k, c = cands.k, updated.shape[1]
+    paired = nm.reshape(nm.permute(nm.reshape(updated, (2, k, c)), (1, 0, 2)), (k, 2 * c))
     return ffn(paired, params.ffn_class), ffn(paired, params.ffn_box)
 
 

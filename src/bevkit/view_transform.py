@@ -40,8 +40,8 @@ from .geometry import (
     project_points,
     unproject_points,
 )
-from .layers import ConvBlockParams, LinearParams, conv_block
-from .numerics import PROB_FLOOR, DimensionError, Tensor
+from .layers import ConvBlockParams, LinearParams, binary_log_loss, conv_block
+from .numerics import DimensionError, Tensor
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,9 @@ def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor
         [nm.reshape(d, (d.shape[0] * d.shape[1], d.shape[2])) for d in dists], axis=0
     )
     target = np.concatenate([g.onehot.reshape(-1, g.onehot.shape[2]) for g in gts], axis=0)
-    mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)
-    p = nm.clamp(rows, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pos = nm.mul(nm.log(p), target)
-    neg = nm.mul(nm.log(nm.sub(1.0, p)), 1.0 - target)
-    per_bin = nm.mul(nm.add(pos, neg), -1.0)
-    per_pixel = nm.sum(per_bin, axis=1)
-    masked = nm.mul(per_pixel, mask)
+    mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)[:, None]
     valid = max(1.0, float(mask.sum()))
-    return nm.mul(nm.sum(masked), 1.0 / valid)
+    return binary_log_loss(rows, target * mask / valid, (1.0 - target) * mask / valid, 0.0)
 
 
 def _feature_pixel_rays(hp: int, wp: int, stride: int):

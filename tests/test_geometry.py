@@ -318,6 +318,21 @@ def test_rig_section_rule(tmp_path, old, new, message):
         geo.load_rig(path)
 
 
+@pytest.mark.parametrize("damaged", ["[camera back] 2", "  [camera back]"])
+def test_rig_damaged_header_names_its_own_line(tmp_path, damaged):
+    """A header with text after its "]", or indented, is reported at its own line, not
+    as keys filed under the section before it."""
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
+                                     translation=np.zeros(3), name=name)
+                        for name in ("front", "back")])
+    path.write_text(path.read_text().replace("[camera back]", damaged))
+    with pytest.raises(ValueError) as err:
+        geo.load_rig(path)
+    assert str(err.value) == f"{path}: [line 11] damaged section header {damaged!r}"
+    assert "camera front" not in str(err.value)
+
+
 def test_rig_camera_name_is_the_rest_of_the_header(tmp_path):
     path = tmp_path / "rig.txt"
     cams = [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=np.zeros(3),

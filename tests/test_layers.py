@@ -1,12 +1,22 @@
-"""conv2d as one tape op, conv_block_at against conv_block, and the segment sum
-under scatter_add / gather_rows."""
+"""conv2d as one tape op, conv_block_at against conv_block, the segment sum
+under scatter_add / gather_rows, and binary_log_loss against a float loop."""
+
+import math
 
 import numpy as np
 import pytest
 
 from bevkit import numerics as nm
 from bevkit import oracles
-from bevkit.layers import Conv2dParams, conv2d, conv_block, conv_block_at, conv_init
+from bevkit.layers import (
+    PROB_FLOOR,
+    Conv2dParams,
+    binary_log_loss,
+    conv2d,
+    conv_block,
+    conv_block_at,
+    conv_init,
+)
 from bevkit.numerics import DimensionError, LinearParams, Tape, Tensor, backward, finite_diff_check
 
 CASES = [(1, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0)]  # (kernel, stride, pad)
@@ -266,3 +276,50 @@ class TestSegmentSum:
             nm.gather_rows(Tensor(np.ones((4, 2, 3))), empty)
         (z,) = tape.nodes[0].vjp(np.zeros((0, 2, 3)))
         assert z.dtype == np.float64 and z.shape == (4, 2, 3) and not z.any()
+
+
+def loop_log_loss(probs, pos_weight, neg_weight, gamma):
+    """binary_log_loss's rule, one element at a time in plain floats."""
+    terms = []
+    for p, a, b in zip(probs.ravel().tolist(), pos_weight.ravel().tolist(),
+                       neg_weight.ravel().tolist()):
+        p = min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+        terms.append(a * (1.0 - p) ** gamma * math.log(p) + b * p**gamma * math.log(1.0 - p))
+    return -math.fsum(terms)
+
+
+class TestBinaryLogLoss:
+    def case(self, seed, shape=(5, 3)):
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.02, 0.98, size=shape)
+        return probs, rng.uniform(0, 2, size=shape), rng.uniform(0, 2, size=shape)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_matches_a_float_loop(self, gamma):
+        for seed in range(4):
+            p, wp, wn = self.case(seed)
+            got = binary_log_loss(Tensor(p), wp, wn, gamma).item()
+            assert got == pytest.approx(loop_log_loss(p, wp, wn, gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_certain_probabilities_are_clamped(self, gamma):
+        p, wp, wn = np.array([0.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4)
+        got = binary_log_loss(Tensor(p), wp, wn, gamma).item()
+        assert math.isfinite(got)
+        assert got == pytest.approx(loop_log_loss(p, wp, wn, gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_gradient_matches_central_differences(self, gamma):
+        p, wp, wn = self.case(7, shape=(4, 2))
+        assert finite_diff_check(lambda x: binary_log_loss(x, wp, wn, gamma), Tensor(p)) < 1e-4
+
+    @pytest.mark.parametrize("gamma, powers", [(0.0, 0), (2.0, 2)])
+    def test_probs_is_the_only_leaf(self, gamma, powers):
+        p, wp, wn = self.case(3)
+        probs = Tensor(p)
+        with Tape() as tape:
+            binary_log_loss(probs, wp, wn, gamma)
+        produced = {node.output_id for node in tape.nodes}
+        leaves = {i for node in tape.nodes for i in node.input_ids} - produced
+        assert leaves == {probs.id}
+        assert [node.op for node in tape.nodes].count("exp") == powers

@@ -101,3 +101,24 @@ def test_submodules_resolve_as_package_attributes():
     assert bevkit.scene is importlib.import_module("bevkit.scene")
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         bevkit.nope  # noqa: B018
+
+
+def test_only_layers_clamps_before_a_log():
+    """binary_log_loss is the one clamped log-likelihood: no other production module
+    calls clamp, and the camera branch no longer takes the floor to clamp with."""
+    package = Path(bevkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("layers.py", "oracles.py"):
+            continue
+        calls = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+        }
+        assert "clamp" not in calls, path.name
+    tree = ast.parse((package / "view_transform.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "PROB_FLOOR" not in imported

@@ -876,6 +876,14 @@ class TestSceneSectionRule:
         with pytest.raises(ValueError, match=rf"scene\.txt: {message}"):
             sc.load_scene(path)
 
+    def test_damaged_header_names_its_own_line(self, tmp_path):
+        """Text after a header's "]" is reported at that header, not under the box before."""
+        path = self.write(tmp_path, "[box 1]", "[box 1] x")
+        with pytest.raises(ValueError) as err:
+            sc.load_scene(path)
+        assert str(err.value) == f"{path}: [line 12] damaged section header '[box 1] x'"
+        assert "box 0" not in str(err.value)
+
     def test_missing_scene_section(self, tmp_path):
         path = tmp_path / "scene.txt"
         sc.save_scene(path, sc.generate_scene(2, DESK, seed=3))
