@@ -28,6 +28,13 @@ import numpy as np
 _Z_EPS = 1e-6
 
 
+def require_finite(config) -> None:
+    """Raise a ValueError naming the config and its first field holding a non-finite number."""
+    for name, value in vars(config).items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{type(config).__name__}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CameraParams:
     fx: float
@@ -79,6 +86,7 @@ class DepthBins:
     count: int
 
     def __post_init__(self):
+        require_finite(self)
         if self.d_min <= 0 or self.d_max <= self.d_min or self.count < 1:
             raise ValueError("need 0 < d_min < d_max and count >= 1")
 
@@ -99,6 +107,7 @@ class BEVConfig:
     n: int  # grid count per edge
 
     def __post_init__(self):
+        require_finite(self)
         if self.x_max <= self.x_min or self.y_max <= self.y_min or self.n < 1:
             raise ValueError("need x_max > x_min, y_max > y_min, n >= 1")
 

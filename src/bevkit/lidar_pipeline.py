@@ -3,11 +3,11 @@
 Voxelization returns only the occupied voxels, as three row-aligned arrays
 in ascending flat-index order: integer coordinates, mean point feature and
 point count. One segment sum over the sorted points gives every mean. The
-voxel encoder is a shared two-layer perceptron applied to each occupied
-voxel's mean point feature; empty voxels stay zero. Compression concatenates
-the z slices channel-wise and applies one affine projection. Aggregation runs
-in ascending voxel-index order with content tiebreaks, so the result is
-bit-identical under any input point permutation.
+voxel encoder is layers.ffn, a shared two-layer perceptron applied to each
+occupied voxel's mean point feature; empty voxels stay zero. Compression
+concatenates the z slices channel-wise and applies one affine projection.
+Aggregation runs in ascending voxel-index order with content tiebreaks, so the
+result is bit-identical under any input point permutation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .geometry import require_finite
+from .layers import FfnParams, ffn
 from .numerics import DimensionError, LinearParams, Tensor
 
 MAX_CELLS = 1 << 27  # largest voxel grid a VoxelConfig accepts
@@ -33,6 +35,7 @@ class VoxelConfig:
     z_max: float
 
     def __post_init__(self):
+        require_finite(self)
         if any(s <= 0 for s in self.size):
             raise ValueError("voxel sizes must be positive")
         if self.x_max <= self.x_min or self.y_max <= self.y_min or self.z_max <= self.z_min:
@@ -42,11 +45,8 @@ class VoxelConfig:
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        return (
-            int(np.ceil((self.x_max - self.x_min) / self.size[0] - 1e-9)),
-            int(np.ceil((self.y_max - self.y_min) / self.size[1] - 1e-9)),
-            int(np.ceil((self.z_max - self.z_min) / self.size[2] - 1e-9)),
-        )
+        spans = (self.x_max - self.x_min, self.y_max - self.y_min, self.z_max - self.z_min)
+        return tuple(int(np.ceil(span / size - 1e-9)) for span, size in zip(spans, self.size))
 
 
 def desk_voxel_config() -> VoxelConfig:
@@ -110,10 +110,7 @@ def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
     return VoxelGrid(cfg=cfg, occupied=occupied, means=sums / counts[:, None], counts=counts)
 
 
-@dataclass(frozen=True)
-class VoxelEncoderParams:
-    hidden: LinearParams  # 5 -> h
-    out: LinearParams  # h -> C_m
+VoxelEncoderParams = FfnParams  # hidden 5 -> h, out h -> C_m
 
 
 def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
@@ -128,7 +125,7 @@ def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
             "bytes, over the 1 GiB limit"
         )
     flat_idx = np.ravel_multi_index(vg.occupied.T, (X, Y, Z))
-    encoded = nm.linear(nm.relu(nm.linear(vg.means, params.hidden)), params.out)
+    encoded = ffn(vg.means, params)
     dense = nm.scatter_add(encoded, flat_idx, X * Y * Z)
     return nm.reshape(dense, (X, Y, Z, c_m))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .geometry import BEVConfig, bev_indices
+from .geometry import BEVConfig, bev_indices, require_finite
 from .layers import PROB_FLOOR, binary_log_loss
 from .numerics import NumericError, Tensor
 from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
@@ -37,6 +37,7 @@ class LossWeights:
     lam_box: float = 0.25  # main matched head loss in the total
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.lam1, self.lam2, self.lam_depth, self.lam_heat, self.lam_box) < 0:
             raise ValueError("loss weights must be non-negative")
 
@@ -195,16 +196,13 @@ def focal_loss(
     return binary_log_loss(probs, alpha * t / t.size, (1.0 - alpha) * (1.0 - t) / t.size, gamma)
 
 
-def _abs(x: Tensor) -> Tensor:
-    return nm.add(nm.relu(x), nm.relu(nm.mul(x, -1.0)))
-
-
 def l1_box_loss(pred: Tensor, gt) -> Tensor:
     """Mean absolute difference over box components (single box or a batch)."""
     target = np.asarray(gt, dtype=np.float64)
     if target.shape != pred.shape:
         raise nm.DimensionError(f"l1_box_loss: {pred.shape} vs {target.shape}")
-    return nm.mean(_abs(nm.sub(pred, target)))
+    diff = nm.sub(pred, target)
+    return nm.mean(nm.mul(diff, np.sign(diff.data)))
 
 
 def _check_class_ids(gt_boxes, class_count: int) -> None:
@@ -257,7 +255,7 @@ def head_set_loss(
     targets = np.zeros((k, n_cls))
     for ki, gi in match.pairs:
         targets[ki, gt_boxes[gi].class_id] = 1.0
-    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets)
+    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets, FOCAL_ALPHA, FOCAL_GAMMA)
     if match.pairs:
         pred_rows = nm.gather_rows(output.boxes, np.array([p for p, _ in match.pairs]))
         gt_rows = np.stack(
@@ -326,29 +324,23 @@ def total_loss(
 ):
     """Weighted sum of heatmap, matched main, auxiliary, and depth terms.
 
-    Returns (scalar loss tensor, dict of float part values). Terms whose
-    weight is zero are skipped entirely, so they contribute no gradient.
+    Returns (scalar loss tensor, dict of float part values). Every term given is
+    weighted and summed, so a zero weight still lists its part and gives its
+    inputs a zero gradient.
     """
-    parts: dict[str, float] = {}
-    pieces: list[Tensor] = []
-
-    if weights.lam_heat > 0:
-        h_loss = heatmap_loss(heatmap, heatmap_target(gt_boxes, bev_cfg, heatmap.shape[2]))
-        parts["heatmap"] = h_loss.item()
-        pieces.append(nm.mul(h_loss, weights.lam_heat))
-    if weights.lam_box > 0:
-        main_loss, _ = head_set_loss(main, cands, gt_boxes, bev_cfg, weights)
-        parts["main"] = main_loss.item()
-        pieces.append(nm.mul(main_loss, weights.lam_box))
+    h_loss = heatmap_loss(heatmap, heatmap_target(gt_boxes, bev_cfg, heatmap.shape[2]))
+    pieces = [nm.mul(h_loss, weights.lam_heat)]
+    main_loss, _ = head_set_loss(main, cands, gt_boxes, bev_cfg, weights)
+    pieces.append(nm.mul(main_loss, weights.lam_box))
+    parts = {"heatmap": h_loss.item(), "main": main_loss.item()}
     if aux is not None:
         aux_term, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
         parts["aux"] = aux_term.item()
         pieces.append(aux_term)
-    if depth is not None and weights.lam_depth > 0:
+    if depth is not None:
         parts["depth"] = depth.item()
         pieces.append(nm.mul(depth, weights.lam_depth))
 
-    total = functools.reduce(nm.add, pieces) if pieces else Tensor(0.0)
+    total = functools.reduce(nm.add, pieces)
     parts["total"] = total.item()
     return total, parts
-

@@ -154,7 +154,8 @@ def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> D
 
 def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor:
     """Bin-wise binary cross entropy pooled over cameras, averaged over valid pixels."""
-    for dist, gt in zip(dists, gts, strict=True):
+    _check_camera_lists("depth_loss_multi", distributions=dists, targets=gts)
+    for dist, gt in zip(dists, gts):
         if gt.onehot.shape != dist.shape or gt.mask.shape != dist.shape[:2]:
             raise DimensionError(
                 f"depth_loss_multi: distribution {dist.shape} vs target {gt.onehot.shape}"

@@ -339,3 +339,23 @@ def test_rig_camera_name_is_the_rest_of_the_header(tmp_path):
                          name=name) for name in ("front left", "back")]
     geo.save_rig(path, cams)
     assert [cam.name for cam in geo.load_rig(path)] == ["front left", "back"]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("x_min", NAN), ("x_max", INF), ("y_min", -INF), ("y_max", NAN), ("n", NAN)]
+)
+def test_bev_config_rejects_non_finite_values(field, value):
+    """A non-finite bound fails at construction, not later as a cast warning in bev_indices."""
+    args = {"x_min": -8.0, "x_max": 8.0, "y_min": -8.0, "y_max": 8.0, "n": 32, field: value}
+    with pytest.raises(ValueError, match=f"BEVConfig: {field} must be finite, got {value}"):
+        BEVConfig(**args)
+
+
+@pytest.mark.parametrize("field, value", [("d_min", NAN), ("d_max", INF), ("count", INF)])
+def test_depth_bins_reject_non_finite_values(field, value):
+    args = {"d_min": 0.5, "d_max": 8.5, "count": 16, field: value}
+    with pytest.raises(ValueError, match=f"DepthBins: {field} must be finite, got {value}"):
+        DepthBins(**args)

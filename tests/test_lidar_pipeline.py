@@ -255,3 +255,20 @@ def test_far_point_dropped_without_a_cast(far):
     got = lp.voxelize(cloud(near + [[*far, 1.0, 0.0]]), DESK)
     for field in ("occupied", "means", "counts"):
         np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("size", (0.5, float("nan"), 0.4), r"\(0.5, nan, 0.4\)"),
+        ("x_max", float("inf"), "inf"),
+        ("z_min", float("-inf"), "-inf"),
+        ("y_min", float("nan"), "nan"),
+    ],
+)
+def test_voxel_config_rejects_non_finite_values(field, value, shown):
+    """Named before the grid size is computed, which would raise a bare OverflowError."""
+    args = {"size": (0.5, 0.5, 0.4), "x_min": -8, "x_max": 8, "y_min": -8, "y_max": 8,
+            "z_min": -0.4, "z_max": 2.8, field: value}
+    with pytest.raises(ValueError, match=f"VoxelConfig: {field} must be finite, got {shown}"):
+        lp.VoxelConfig(**args)

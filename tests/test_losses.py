@@ -445,3 +445,60 @@ def test_head_set_loss_with_no_candidates():
     )
     assert loss.item() == 0.0
     assert match.pairs == () and match.unmatched_ground_truths == (0, 1)
+
+
+@pytest.mark.parametrize("field", ["lam1", "lam2", "lam_depth", "lam_heat", "lam_box"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_loss_weights_reject_non_finite_values(field, value):
+    """A NaN weight passes the sign check (NaN < 0 is False); this check keeps it off the total."""
+    with pytest.raises(ValueError, match=f"LossWeights: {field} must be finite, got {value}"):
+        ls.LossWeights(**{field: value})
+
+
+def test_l1_box_loss_is_one_op_on_the_difference():
+    """|d| is d times its constant sign: the difference, one multiply and the mean."""
+    rng = np.random.default_rng(3)
+    with nm.Tape() as tape:
+        ls.l1_box_loss(Tensor(rng.normal(size=(3, 4))), rng.normal(size=(3, 4)))
+    assert [node.op for node in tape.nodes] == ["add_const", "mul_const", "mean"]
+
+
+def loss_inputs():
+    """Head outputs off their targets, a soft heatmap and a depth term, so no part is 0."""
+    boxes = [gt_box(1.0, 1.0, cls=0), gt_box(-3.0, 2.0, cls=1)]
+    cells = [bev_index(b.center[0], b.center[1], BEV16) for b in boxes]
+    jitter = np.full((2, pr.BOX_DIM), 0.3)
+    out, cands = head_output_for(boxes, cells, logits_scale=1.0, jitter=jitter)
+    rng = np.random.default_rng(4)
+    heat = Tensor(rng.uniform(0.05, 0.95, size=(16, 16, 3)))
+    onehot = np.eye(4)[rng.integers(0, 4, size=(2, 3))]
+    gt = vt.DepthGroundTruth(onehot=onehot, mask=np.ones((2, 3)))
+    depth = vt.depth_loss_multi([Tensor(rng.dirichlet(np.ones(4), size=(2, 3)))], [gt])
+    return out, cands, heat, boxes, depth
+
+
+@pytest.mark.parametrize("zeroed", ["lam_heat", "lam_box", "lam_depth"])
+def test_total_loss_sums_a_zero_weighted_term(zeroed):
+    """A zero weight is weighted like any other: its part is listed and the total is the sum."""
+    out, cands, heat, boxes, depth = loss_inputs()
+    w = ls.LossWeights(**{zeroed: 0.0})
+    total, parts = ls.total_loss(out, out, cands, heat, boxes, BEV16, w, depth=depth)
+    assert list(parts) == ["heatmap", "main", "aux", "depth", "total"]
+    assert all(parts[name] > 0.0 for name in ("heatmap", "main", "aux", "depth"))
+    weighted = (
+        parts["heatmap"] * w.lam_heat + parts["main"] * w.lam_box + parts["aux"]
+        + parts["depth"] * w.lam_depth
+    )
+    assert total.item() == parts["total"] == weighted
+
+
+@pytest.mark.parametrize("name, value", [("FOCAL_GAMMA", 0.0), ("FOCAL_ALPHA", 0.5)])
+def test_focal_constants_set_both_the_loss_and_the_match(monkeypatch, name, value):
+    """head_set_loss trains and matches with the focal alpha and gamma read at call time."""
+    out, cands, _, boxes, _ = loss_inputs()
+    loss, match = ls.head_set_loss(out, cands, boxes, BEV16, ls.LossWeights())
+    monkeypatch.setattr(ls, name, value)
+    moved_loss, moved_match = ls.head_set_loss(out, cands, boxes, BEV16, ls.LossWeights())
+    assert moved_match.pairs == match.pairs
+    assert moved_loss.item() != loss.item()
+    assert moved_match.total_cost != match.total_cost

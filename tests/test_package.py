@@ -2,8 +2,10 @@
 stay independent."""
 
 import ast
+import dataclasses
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +124,16 @@ def test_only_layers_clamps_before_a_log():
         for alias in node.names
     }
     assert "PROB_FLOOR" not in imported
+
+
+def test_no_two_params_dataclasses_share_a_field_list():
+    """A parameter block with another's fields is an alias of it, as HeatmapParams is of
+    ConvBlockParams, not a second dataclass."""
+    owners = {}
+    for info in pkgutil.iter_modules(bevkit.__path__):
+        for obj in vars(importlib.import_module(f"bevkit.{info.name}")).values():
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type) and obj.__name__.endswith("Params"):
+                fields = tuple(f.name for f in dataclasses.fields(obj))
+                owners.setdefault(fields, set()).add(obj)
+    shared = {names: sorted(map(str, cls)) for names, cls in owners.items() if len(cls) > 1}
+    assert shared == {}

@@ -735,3 +735,17 @@ def test_upsample_hr_rejects_a_rank_2_feature():
     with pytest.raises(nm.DimensionError,
                        match=r"upsample_hr: LR feature \(8, 6\) is not \[H, W, C\]"):
         vt.upsample_hr(Tensor(np.zeros((8, 6))), lin, factor=2)
+
+
+def test_depth_loss_multi_rejects_unequal_lists():
+    gt = vt.DepthGroundTruth(onehot=np.zeros((2, 2, 4)), mask=np.ones((2, 2)))
+    dist = Tensor(np.full((2, 2, 4), 0.25))
+    with pytest.raises(nm.DimensionError, match=r"depth_loss_multi: one entry per camera "
+                       r"needed, got 2 distributions, 1 targets"):
+        vt.depth_loss_multi([dist, dist], [gt])
+
+
+def test_depth_loss_multi_rejects_empty_lists():
+    with pytest.raises(nm.DimensionError,
+                       match=r"depth_loss_multi: no cameras \(0 distributions, 0 targets\)"):
+        vt.depth_loss_multi([], [])
