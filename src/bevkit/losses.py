@@ -22,7 +22,7 @@ from . import numerics as nm
 from .geometry import BEVConfig, bev_indices, require_finite
 from .layers import PROB_FLOOR, binary_log_loss
 from .numerics import NumericError, Tensor
-from .predictor import CandidateSet, HeadOutput, encode_box_for_cell
+from .predictor import CandidateSet, HeadOutput, check_head_output, encode_box_for_cell
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -223,6 +223,7 @@ def match_against_gt(
     Pair cost is a focal-style class cost at the ground-truth class plus the
     mean absolute difference between encoded boxes.
     """
+    check_head_output("match_against_gt", output, cands)
     _check_class_ids(gt_boxes, output.class_logits.shape[1])
     probs = np.clip(nm._sigmoid(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
     cost = np.zeros((cands.k, len(gt_boxes)))

@@ -461,7 +461,7 @@ def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
     return worst
 
 
-# --- BKT1 files, for tensors and point clouds: u32 rank, u64 extents, f64 payload (LE) ---
+# --- BKT1 tensor files: u32 rank, u64 extents, f64 payload (LE) ---
 
 _TENSOR_MAGIC = b"BKT1"
 

@@ -34,7 +34,7 @@ from .layers import (
     sinusoidal_encoding,
 )
 from .metrics import BoxRecord
-from .numerics import DimensionError, LinearParams, Tensor
+from .numerics import DimensionError, LinearParams, NumericError, Tensor
 
 BOX_DIM = 10  # dx, dy, z, log l, log w, log h, sin yaw, cos yaw, vx, vy
 
@@ -48,6 +48,15 @@ class CandidateSet:
     scores: np.ndarray  # [K], non-increasing
 
     def __post_init__(self):
+        cells = np.asarray(self.cells)
+        if cells.ndim != 2 or cells.shape[1] != 2 or not np.issubdtype(cells.dtype, np.integer):
+            raise DimensionError(f"candidate cells must be integer [K, 2], got {cells.dtype} "
+                                 f"{cells.shape}")
+        if not np.shape(self.classes) == np.shape(self.scores) == cells.shape[:1]:
+            raise DimensionError(
+                f"candidate classes {np.shape(self.classes)} and scores {np.shape(self.scores)} "
+                f"must be [K] for cells {cells.shape}"
+            )
         if len(self.scores) > 1 and np.any(np.diff(self.scores) > 0):
             raise ValueError("candidate scores must be non-increasing")
 
@@ -78,6 +87,12 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     h = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
+    if h.ndim != 3 or 0 in h.shape:
+        raise DimensionError(
+            f"select_candidates: heatmap must be [X, Y, N] with extents >= 1, got {h.shape}"
+        )
+    if not isinstance(heatmap, Tensor) and not np.isfinite(h).all():  # a Tensor is finite
+        raise NumericError("select_candidates: heatmap contains NaN or Inf")
     X, Y, _ = h.shape
     score = h.max(axis=2)
     cls = h.argmax(axis=2)
@@ -143,7 +158,9 @@ def task_specific_features(
     through two unshared FFNs.
     """
     if b_c.shape[:2] != b_l.shape[:2]:
-        raise DimensionError("task features: camera and LiDAR BEV shapes differ")
+        raise DimensionError(
+            f"task features: camera and LiDAR BEV shapes differ {b_c.shape} vs {b_l.shape}"
+        )
     q_c = conv_block_at(b_c, params.cam_conv1, params.cam_conv2, cands.cells)
     q_l = conv_block_at(b_l, params.lidar_conv1, params.lidar_conv2, cands.cells)
     tokens = nm.concat([q_c, q_l], axis=0)
@@ -250,15 +267,23 @@ def subtask_heads(
     return HeadOutput(ffn(q_cls, params.classifier), ffn(q_box, params.box))
 
 
+def check_head_output(op: str, output: HeadOutput, cands: CandidateSet) -> None:
+    """Raise DimensionError unless the heads give one row per candidate and boxes
+    BOX_DIM wide."""
+    rows, boxes = output.class_logits.shape[0], output.boxes.shape
+    if not rows == boxes[0] == cands.k:
+        raise DimensionError(
+            f"{op}: {rows} class logit and {boxes[0]} box rows for {cands.k} candidates"
+        )
+    if boxes[1:] != (BOX_DIM,):
+        raise DimensionError(f"{op}: boxes have shape {boxes}, not [K, BOX_DIM = {BOX_DIM}]")
+
+
 def decode_detections(output: HeadOutput, cands: CandidateSet, bev_cfg: BEVConfig) -> list[BoxRecord]:
     """One BoxRecord per candidate, in candidate order: the argmax class, the
     sigmoid of its logit as the score, and the decoded box."""
+    check_head_output("decode_detections", output, cands)
     logits = output.class_logits.data
-    if not logits.shape[0] == output.boxes.shape[0] == cands.k:
-        raise DimensionError(
-            f"decode_detections: {logits.shape[0]} class logit and {output.boxes.shape[0]} "
-            f"box rows for {cands.k} candidates"
-        )
     classes = logits.argmax(axis=1)
     scores = nm._sigmoid(logits[np.arange(cands.k), classes])
     center, size, yaw, velocity = decode_box(cands.cells, output.boxes.data, bev_cfg)
@@ -274,6 +299,6 @@ BevFuserParams = ConvBlockParams
 def fuse_bev(b_c: Tensor, b_l: Tensor, params: BevFuserParams) -> Tensor:
     """Camera BEV + LiDAR BEV -> fused BEV for the heatmap and decoder."""
     if b_c.shape[:2] != b_l.shape[:2]:
-        raise DimensionError("fuse_bev: spatial shapes differ")
+        raise DimensionError(f"fuse_bev: spatial shapes differ {b_c.shape} vs {b_l.shape}")
     merged = nm.concat([b_c, b_l], axis=2)
     return conv_block(merged, params.conv1, params.conv2)

@@ -14,11 +14,10 @@ change a bit: the sphere contains the box, its margin covers rounding and
 the slab test's parallel rule, and a row subset goes through the same
 elementwise ops and matmul rows as the full arrays.
 Everything is a pure function of the seed: same inputs, bit-identical
-outputs. A point cloud is stored as a BKT1 tensor file (numerics.save_tensor)
-of its float64 [N, 5] points, so it reloads bit for bit. A scene file is
-geometry's INI text format under its one section rule: a [scene] section
-(seed, class_count) and a [box NAME] section per box (center, size, yaw,
-velocity, class_id).
+outputs, so a point cloud is never stored but re-simulated from its scene.
+A scene file is geometry's INI text format under its one section rule: a
+[scene] section (seed, class_count) and a [box NAME] section per box
+(center, size, yaw, velocity, class_id).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 from .geometry import (
     BEVConfig, CameraParams, look_at_pose, parse_floats, read_ini, rotation_z, write_ini,
 )
-from .numerics import Tensor, load_tensor, save_tensor
 
 _RAY_EPS = 1e-9
 
@@ -431,20 +429,6 @@ def default_lidar_origin() -> np.ndarray:
 
 def default_elevations(count: int = 16) -> np.ndarray:
     return np.deg2rad(np.linspace(-30.0, 2.0, count))
-
-
-# --- file formats: a point cloud is a BKT1 tensor file of its [N, 5] points ---
-
-
-def save_point_cloud(path, pc: PointCloud) -> None:
-    save_tensor(path, Tensor(pc.points))
-
-
-def load_point_cloud(path) -> PointCloud:
-    points = load_tensor(path).data
-    if points.ndim != 2 or points.shape[1] != 5:
-        raise ValueError(f"{path}: point cloud tensor has shape {points.shape}, not [N, 5]")
-    return PointCloud(points)
 
 
 # The scene header is checked on its own (an empty Scene), before any box meets class_count.

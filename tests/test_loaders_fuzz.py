@@ -20,11 +20,6 @@ def write_tensor(path):
     nm.save_tensor(path, nm.Tensor(np.random.default_rng(0).normal(size=(3, 2))))
 
 
-def write_cloud(path):
-    pts = np.random.default_rng(1).normal(size=(4, 5))
-    sc.save_point_cloud(path, sc.PointCloud(pts))
-
-
 def write_scene(path):
     sc.save_scene(path, sc.generate_scene(2, desk_bev_config(), seed=3))
 
@@ -35,7 +30,6 @@ def write_rig(path):
 
 LOADERS = {
     "tensor": (write_tensor, nm.load_tensor),
-    "point_cloud": (write_cloud, sc.load_point_cloud),
     "scene": (write_scene, sc.load_scene),
     "rig": (write_rig, geo.load_rig),
 }
@@ -71,7 +65,7 @@ def test_damaged_file_loads_or_raises_value_error(name, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["tensor", "point_cloud"])
+@pytest.mark.parametrize("name", ["tensor"])
 def test_non_finite_payload_names_the_file(name, tmp_path):
     write, load = LOADERS[name]
     path = tmp_path / name

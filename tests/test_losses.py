@@ -502,3 +502,19 @@ def test_focal_constants_set_both_the_loss_and_the_match(monkeypatch, name, valu
     assert moved_match.pairs == match.pairs
     assert moved_loss.item() != loss.item()
     assert moved_match.total_cost != match.total_cost
+
+
+@pytest.mark.parametrize("loss", [
+    lambda out, cands, gt: ls.match_against_gt(out, cands, gt, BEV16),
+    lambda out, cands, gt: ls.head_set_loss(out, cands, gt, BEV16, ls.LossWeights()),
+], ids=["match_against_gt", "head_set_loss"])
+@pytest.mark.parametrize("logit_shape, box_shape, message", [
+    ((5, 3), (4, pr.BOX_DIM), "5 class logit and 4 box rows for 4 candidates"),
+    ((4, 3), (4, 7), r"boxes have shape \(4, 7\), not \[K, BOX_DIM = 10\]"),
+], ids=["rows", "width"])
+def test_matched_loss_names_bad_head_shapes(loss, logit_shape, box_shape, message):
+    boxes = [gt_box(1.0, 1.0), gt_box(-3.0, 2.0, cls=1)]
+    _, cands = head_output_for([None] * 4, [[1, 1], [2, 2], [3, 3], [4, 4]])
+    out = pr.HeadOutput(Tensor(np.zeros(logit_shape)), Tensor(np.zeros(box_shape)))
+    with pytest.raises(nm.DimensionError, match=f"match_against_gt: {message}"):
+        loss(out, cands, boxes)

@@ -52,6 +52,13 @@ def test_oracles_import_only_geometry_from_bevkit():
     assert set(_bevkit_modules_imported(tree)) == {"geometry"}
 
 
+def test_scene_imports_only_geometry_from_bevkit():
+    """The simulator (scenes, the ray caster and both sensors) stays off the tape: a point
+    cloud is re-simulated from its scene, never stored as a tensor file."""
+    tree = ast.parse((Path(bevkit.__file__).parent / "scene.py").read_text())
+    assert set(_bevkit_modules_imported(tree)) == {"geometry"}
+
+
 def test_oracles_import_no_production_geometry():
     """The oracles take only config and camera types from geometry and write every
     rule they check by hand; project_points, unproject_points, depth_to_bins and
@@ -97,6 +104,17 @@ def test_importing_one_module_loads_only_its_imports():
     ).stdout.split()
     assert "bevkit.view_transform" in loaded
     assert not {"bevkit.losses", "bevkit.predictor", "bevkit.metrics"} & set(loaded)
+
+
+def test_importing_the_simulator_leaves_the_tape_unloaded():
+    src = str(Path(bevkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, bevkit.scene; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "bevkit.scene" in loaded and "bevkit.numerics" not in loaded
 
 
 def test_submodules_resolve_as_package_attributes():

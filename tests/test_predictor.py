@@ -541,3 +541,41 @@ def test_oracle_heatmap_end_to_end_centers():
     for det, cell in zip(records, cands.cells):
         cx, cy = BEV16.cell_center(*cell)
         np.testing.assert_allclose(det.center[:2], [cx, cy], atol=1e-12)
+
+
+@pytest.mark.parametrize("heatmap, error, message", [
+    (np.zeros((4, 4)), DimensionError, r"heatmap must be \[X, Y, N\] .*got \(4, 4\)"),
+    (np.zeros((0, 4, 3)), DimensionError, r"got \(0, 4, 3\)"),
+    (np.zeros((4, 4, 0)), DimensionError, r"got \(4, 4, 0\)"),
+    (np.zeros((2, 4, 4, 3)), DimensionError, r"got \(2, 4, 4, 3\)"),
+    (np.where(np.eye(4)[:, :, None], np.nan, 0.5), nm.NumericError, "NaN or Inf"),
+    (np.full((4, 4, 2), np.inf), nm.NumericError, "NaN or Inf"),
+], ids=["2d", "empty-x", "no-classes", "4d", "nan", "inf"])
+def test_select_candidates_rejects_bad_heatmaps_by_name(heatmap, error, message):
+    with pytest.raises(error, match=f"select_candidates: .*{message}"):
+        pr.select_candidates(heatmap, 3)
+
+
+@pytest.mark.parametrize("cells, classes, scores, message", [
+    (np.zeros((3, 2), np.int64), np.zeros(2, np.int64), np.zeros(3), r"classes \(2,\) and scores \(3,\)"),
+    (np.zeros((3, 2), np.int64), np.zeros(3, np.int64), np.zeros(4), r"classes \(3,\) and scores \(4,\)"),
+    (np.zeros(3, np.int64), np.zeros(3, np.int64), np.zeros(3), r"integer \[K, 2\], got int64 \(3,\)"),
+    (np.zeros((3, 3), np.int64), np.zeros(3, np.int64), np.zeros(3), r"got int64 \(3, 3\)"),
+    (np.zeros((3, 2)), np.zeros(3, np.int64), np.zeros(3), r"got float64 \(3, 2\)"),
+], ids=["classes-rows", "scores-rows", "1d-cells", "3-wide-cells", "float-cells"])
+def test_candidate_set_rejects_mismatched_fields(cells, classes, scores, message):
+    with pytest.raises(DimensionError, match=message):
+        pr.CandidateSet(cells, classes, scores)
+
+
+def test_fuse_bev_error_names_both_shapes():
+    with pytest.raises(DimensionError, match=r"fuse_bev: spatial shapes differ \(4, 4, 2\) vs \(4, 5, 3\)"):
+        pr.fuse_bev(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((4, 5, 3))), None)
+
+
+def test_task_features_error_names_both_shapes():
+    cands = make_cands([[1, 1]], [0], [0.9])
+    with pytest.raises(DimensionError, match=(
+        r"task features: camera and LiDAR BEV shapes differ \(4, 4, 2\) vs \(5, 4, 2\)"
+    )):
+        pr.task_specific_features(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((5, 4, 2))), cands, None)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bevkit import geometry as geo
-from bevkit import numerics as nm
 from bevkit import oracles
 from bevkit import scene as sc
 from bevkit.geometry import BEVConfig
@@ -723,43 +722,6 @@ class TestLidarScanInput:
         shown = re.escape(str(np.shape(elevations)))
         with pytest.raises(ValueError, match=rf"elevation_angles must be 1-D, got shape {shown}"):
             sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], 16, elevations)
-
-
-class TestPointCloudIO:
-    def test_roundtrip(self, tmp_path):
-        scene = sc.generate_scene(3, DESK, seed=2)
-        pc = sc.lidar_scan(scene, sc.default_lidar_origin(), 32, sc.default_elevations(4))
-        path = tmp_path / "cloud.bkp"
-        sc.save_point_cloud(path, pc)
-        back = sc.load_point_cloud(path)
-        assert len(back) == len(pc)
-        assert np.array_equal(back.points, pc.points)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.bkp"
-        p.write_bytes(b"XXXX" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
-            sc.load_point_cloud(p)
-
-    def test_truncated_header(self, tmp_path):
-        p = tmp_path / "short.bkp"
-        p.write_bytes(b"BKT1\x00\x00")
-        with pytest.raises(ValueError, match="short.bkp: truncated tensor header"):
-            sc.load_point_cloud(p)
-
-    def test_lidar_scan_roundtrip_is_bit_exact(self, tmp_path):
-        scene = sc.generate_scene(8, DESK, 10, seed=5)
-        pc = sc.lidar_scan(scene, sc.default_lidar_origin(), 360, sc.default_elevations(16))
-        path = tmp_path / "sweep.bkp"
-        sc.save_point_cloud(path, pc)
-        assert np.array_equal(sc.load_point_cloud(path).points, pc.points)
-
-    @pytest.mark.parametrize("shape", [(5,), (4, 4), (2, 3, 5)])
-    def test_tensor_not_n_by_5_names_the_file(self, tmp_path, shape):
-        path = tmp_path / "odd.bkp"
-        nm.save_tensor(path, nm.Tensor(np.zeros(shape)))
-        with pytest.raises(ValueError, match=r"odd\.bkp: point cloud tensor has shape"):
-            sc.load_point_cloud(path)
 
 
 def test_scene_file_roundtrip(tmp_path):
