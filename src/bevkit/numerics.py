@@ -302,9 +302,17 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _emit("concat", tuple(parts), out, (axis,), vjp)
 
 
+def _int_index(op: str, idx) -> np.ndarray:
+    """idx as int64; a float index would be truncated and a bool mask read as rows 0 and 1."""
+    idx = np.asarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionError(f"{op}: index must have an integer dtype, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows (axis 0) by an integer index array; repeats allowed."""
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _int_index("gather_rows", idx)
     if idx.ndim != 1:
         raise DimensionError("gather_rows: index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
@@ -330,7 +338,7 @@ def scatter_add(values: Tensor, idx, num_rows: int) -> Tensor:
     ascending value-row order (np.bincount walks its input in order), so
     repeated targets accumulate deterministically.
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _int_index("scatter_add", idx)
     if idx.ndim != 1 or idx.shape[0] != values.shape[0]:
         raise DimensionError("scatter_add: index must be 1-D, one entry per value row")
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):

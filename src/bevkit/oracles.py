@@ -112,6 +112,31 @@ def point_stream_oracle(
     return sums
 
 
+def voxel_means_oracle(points: np.ndarray, cfg):
+    """(occupied [V, 3], means [V, 5], counts [V]) in ascending voxel order, for any config
+    with size, the six range fields and counts. Each point is floored in plain floats; each
+    voxel adds its rows one at a time from 0.0 in sorted (lexicographic) row order."""
+    lows = (cfg.x_min, cfg.y_min, cfg.z_min)
+    highs = (cfg.x_max, cfg.y_max, cfg.z_max)
+    groups: dict[tuple, list] = {}
+    for row in np.asarray(points, dtype=np.float64).tolist():
+        key = tuple(math.floor((row[a] - lows[a]) / cfg.size[a]) for a in range(3))
+        if all(lows[a] <= row[a] < highs[a] and key[a] < cfg.counts[a] for a in range(3)):
+            groups.setdefault(key, []).append(row)
+    keys = sorted(groups)
+    means = []
+    for key in keys:
+        acc = [0.0] * 5
+        for row in sorted(groups[key]):
+            acc = [a + r for a, r in zip(acc, row)]
+        means.append([a / len(groups[key]) for a in acc])
+    return (
+        np.array(keys, dtype=np.int64).reshape(-1, 3),
+        np.array(means, dtype=np.float64).reshape(-1, 5),
+        np.array([len(groups[key]) for key in keys], dtype=np.int64),
+    )
+
+
 def convex_overlap_area(a, b) -> float:
     """Area shared by two convex polygons [k, 2] of either winding: Sutherland-Hodgman
     clips a by each edge of b in turn, and the shoelace formula measures what is left."""

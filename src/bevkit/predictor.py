@@ -57,6 +57,9 @@ class CandidateSet:
                 f"candidate classes {np.shape(self.classes)} and scores {np.shape(self.scores)} "
                 f"must be [K] for cells {cells.shape}"
             )
+        classes = np.asarray(self.classes)
+        if not np.issubdtype(classes.dtype, np.integer):
+            raise DimensionError(f"candidate classes must be integer, got {classes.dtype}")
         if len(self.scores) > 1 and np.any(np.diff(self.scores) > 0):
             raise ValueError("candidate scores must be non-increasing")
 

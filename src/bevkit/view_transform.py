@@ -285,6 +285,11 @@ def point_stream(
     averages its valid pixel features; each cell averages its valid points;
     cells with none stay zero.
 
+    Points outside the BEV range are dropped first, so only in-range points
+    are projected and gathered. A dropped point reaches no cell, and in
+    backward it would only add +0.0 to pixel gradients that start at +0.0, so
+    no output or gradient bit changes.
+
     One tape node; its inputs are the HR features. The cameras add per
     point in list order and the valid points sum per cell in point order,
     which keeps the results bit-identical (see the module docstring). A
@@ -300,13 +305,15 @@ def point_stream(
             )
     n = bev_cfg.n
     c = hr_feats[0].shape[2]
-    n_pts = len(pc)
-    placements = []  # per seeing camera: (its index, seen points, their pixels)
-    acc = np.zeros((n_pts, c))
-    views = np.zeros(n_pts)
+    gx, gy, in_range = bev_indices(pc.points[:, :2], bev_cfg)
+    kept = np.flatnonzero(in_range)  # only these can reach a cell
+    xyz = np.take(pc.points, kept, axis=0)[:, :3]  # take: ~3x faster than fancy indexing
+    placements = []  # per seeing camera: (its index, seen kept points, their pixels)
+    acc = np.zeros((len(kept), c))
+    views = np.zeros(len(kept))
     for k, (feat, cam) in enumerate(zip(hr_feats, cams)):
         h, w, _ = feat.shape
-        uv, depth, _ = project_points(pc.points[:, :3], cam)
+        uv, depth, _ = project_points(xyz, cam)
         # Range-checked as floats; only the kept pixels are cast, so far points stay out of int64.
         u, v = np.rint(uv[:, 0]), np.rint(uv[:, 1])
         ok = (depth > 1e-6) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
@@ -314,23 +321,21 @@ def point_stream(
             continue
         seen = np.flatnonzero(ok)
         pix = v[ok].astype(np.int64) * w + u[ok].astype(np.int64)
-        acc[seen] += feat.data.reshape(h * w, c)[pix]
+        acc[seen] += np.take(feat.data.reshape(h * w, c), pix, axis=0)
         views += ok
         placements.append((k, seen, pix))
-    inv_views = np.where(views > 0, 1.0 / np.maximum(views, 1), 0.0)
 
-    gx, gy, in_range = bev_indices(pc.points[:, :2], bev_cfg)
-    valid = np.flatnonzero((views > 0) & in_range)
-    cells = gx[valid] * n + gy[valid]
+    valid = np.flatnonzero(views > 0)
+    inv_views = 1.0 / views[valid]
+    cells = gx[kept[valid]] * n + gy[kept[valid]]
     counts = np.bincount(cells, minlength=n * n).astype(np.float64)
     inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0)
-    per_point = acc * inv_views[:, None]
-    meaned = nm._segment_sum(per_point[valid], cells, n * n) * inv_counts[:, None]
+    per_point = np.take(acc, valid, axis=0) * inv_views[:, None]
+    meaned = nm._segment_sum(per_point, cells, n * n) * inv_counts[:, None]
 
     def vjp(g):
-        g_point = np.zeros((n_pts, c))
-        g_point[valid] = (g.reshape(n * n, c) * inv_counts[:, None])[cells]
-        g_acc = g_point * inv_views[:, None]
+        g_acc = np.zeros((len(kept), c))  # rows no camera sees stay zero and are never read
+        g_acc[valid] = (g.reshape(n * n, c) * inv_counts[:, None])[cells] * inv_views[:, None]
         grads = [None] * len(hr_feats)
         for k, seen, pix in placements:
             shape = hr_feats[k].shape

@@ -1,11 +1,15 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from bevkit import geometry as geo
 from bevkit import lidar_pipeline as lp
 from bevkit import numerics as nm
+from bevkit import oracles
+from bevkit import scene as sc
 from bevkit.layers import linear_init
 from bevkit.numerics import LinearParams, Tensor
 from bevkit.scene import PointCloud
@@ -125,6 +129,75 @@ class TestVoxelize:
         assert vg.counts.tolist() == [len(groups[k]) for k in keys]
         assert min(vg.counts) > 20
         assert np.array_equal(vg.means, np.array(means))
+
+
+# The dense grid (64 x 64 x 16 = 65,536 cells, the largest 16-bit sort key) and one past
+# it (160 x 160 x 16 = 409,600 cells, a 32-bit key).
+DENSE = lp.VoxelConfig(size=(0.25, 0.25, 0.2), x_min=-8, x_max=8, y_min=-8, y_max=8,
+                       z_min=-0.4, z_max=2.8)
+FINE = lp.VoxelConfig(size=(0.1, 0.1, 0.2), x_min=-8, x_max=8, y_min=-8, y_max=8,
+                      z_min=-0.4, z_max=2.8)
+
+
+def sweep(seed):
+    scene = sc.generate_scene(8, geo.desk_bev_config(), seed=seed)
+    return sc.lidar_scan(scene, sc.default_lidar_origin(), 360, sc.default_elevations(16))
+
+
+def ties(pc, cfg, columns):
+    """Rows that share their voxel and their first `columns` values with another row."""
+    lows = (cfg.x_min, cfg.y_min, cfg.z_min)
+    keys = Counter(
+        tuple(math.floor((row[a] - lows[a]) / cfg.size[a]) for a in range(3)) + tuple(row[:columns])
+        for row in pc.points.tolist()
+    )
+    return sum(n for n in keys.values() if n > 1)
+
+
+def assert_matches_oracle(pc, cfg):
+    vg = lp.voxelize(pc, cfg)
+    occupied, means, counts = oracles.voxel_means_oracle(pc.points, cfg)
+    assert np.array_equal(vg.occupied, occupied)
+    assert np.array_equal(vg.counts, counts)
+    assert vg.means.tobytes() == means.tobytes()
+    return vg
+
+
+class TestVoxelizeMatchesOracle:
+    """Byte for byte against the per-voxel loop, on clouds whose rows tie in their voxel
+    and x (the runs voxelize sorts by the later columns) and beyond."""
+
+    @pytest.mark.parametrize("cfg", [DESK, DENSE, FINE], ids=["desk", "dense", "fine"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lidar_sweep(self, seed, cfg):
+        pc = sweep(seed)
+        assert ties(pc, cfg, 1) >= 100 and ties(pc, cfg, 2) >= 50
+        assert_matches_oracle(pc, cfg)
+
+    def test_permuted_sweep_gives_the_same_bytes(self):
+        pc = sweep(4)
+        vg = assert_matches_oracle(pc, DENSE)
+        shuffled = assert_matches_oracle(
+            cloud(pc.points[np.random.default_rng(4).permutation(len(pc))]), DENSE
+        )
+        assert vg.means.tobytes() == shuffled.means.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_tied_up_to_the_last_column(self, seed):
+        """Duplicates, rows equal except intensity or time offset, and sums whose value
+        depends on the order the rows are added in (1e16 + 1 - 1e16 is not 1)."""
+        base = [0.1, 0.1, 0.1]
+        rows = (
+            [base + [1.0, 0.0]] * 3
+            + [base + [i, 0.0] for i in (1e16, 1.0, -1e16, 3.0)]
+            + [base + [1.0, t] for t in (1e16, 0.5, -1e16, 0.25)]
+            + [[0.1, 0.2, 0.1, 1.0, 0.0], [0.1, 0.1, 0.3, 1.0, 0.0], [0.2, 0.1, 0.1, 1.0, 0.0]]
+            + [[-0.0, 0.0, 0.1, 1.0, 0.0], [0.0, -0.0, 0.1, 1.0, 0.0], [0.0, 0.0, 0.1, -0.0, 0.0]]
+        )
+        pts = np.array(rows)[np.random.default_rng(seed).permutation(len(rows))]
+        assert ties(cloud(pts), DESK, 4) >= 4
+        vg = assert_matches_oracle(cloud(pts), DESK)
+        assert vg.counts.tolist() == [len(rows)]
 
 
 class TestEncodeVoxels:

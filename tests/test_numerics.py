@@ -449,6 +449,26 @@ class TestScatterGather:
         with pytest.raises(DimensionError):
             nm.gather_rows(tensor([[1.0]]), np.array([2]))
 
+    @pytest.mark.parametrize("idx, dtype", [
+        (np.array([0.0, 1.5]), "float64"),
+        (np.array([True, False]), "bool"),
+        ([], "float64"),
+    ], ids=["float", "bool-mask", "empty-list"])
+    @pytest.mark.parametrize("op", ["gather_rows", "scatter_add"])
+    def test_non_integer_index_names_its_dtype(self, op, idx, dtype):
+        """A float index used to be truncated and a bool mask read as rows 0 and 1."""
+        x = tensor([[1.0], [2.0]])
+        with pytest.raises(DimensionError, match=f"{op}: index must have an integer dtype, got {dtype}"):
+            nm.gather_rows(x, idx) if op == "gather_rows" else nm.scatter_add(x, idx, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_any_integer_index_dtype_is_accepted(self, dtype):
+        idx = np.array([1, 0, 1], dtype=dtype)
+        np.testing.assert_array_equal(nm.gather_rows(tensor([[1.0], [2.0]]), idx).data,
+                                      [[2.0], [1.0], [2.0]])
+        np.testing.assert_array_equal(nm.scatter_add(tensor([[1.0], [2.0], [4.0]]), idx, 2).data,
+                                      [[2.0], [5.0]])
+
 
 def test_backward_skips_a_branch_that_misses_the_loss():
     x, spare = tensor([1.0, -2.0]), tensor([3.0, 4.0])

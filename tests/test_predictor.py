@@ -568,6 +568,15 @@ def test_candidate_set_rejects_mismatched_fields(cells, classes, scores, message
         pr.CandidateSet(cells, classes, scores)
 
 
+@pytest.mark.parametrize("classes, dtype", [
+    (np.array([0.0, 1.5]), "float64"), (np.array([True, False]), "bool"),
+], ids=["float", "bool"])
+def test_candidate_set_rejects_non_integer_classes(classes, dtype):
+    """decode_general used to gather class-embedding row 1 for the class id 1.5."""
+    with pytest.raises(DimensionError, match=f"candidate classes must be integer, got {dtype}"):
+        pr.CandidateSet(np.array([[0, 0], [1, 1]]), classes, np.array([0.9, 0.5]))
+
+
 def test_fuse_bev_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"fuse_bev: spatial shapes differ \(4, 4, 2\) vs \(4, 5, 3\)"):
         pr.fuse_bev(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((4, 5, 3))), None)

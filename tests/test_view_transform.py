@@ -712,6 +712,40 @@ class TestPointStreamIsTheOpChain:
             vt.point_stream(pc, feats, cams, BEV16)
 
 
+@pytest.mark.parametrize("placement", ["appended", "interleaved"])
+def test_point_stream_ignores_points_outside_the_bev_range(placement):
+    """Points off the BEV grid that a camera sees change neither the output nor any
+    gradient: point_stream projects only in-range points."""
+    rng = np.random.default_rng(50)
+    cams, _, _ = ray_inputs(rng, n_cams=2)
+    n_in, n_out = 60, 40
+    r, yaw = rng.uniform(1.0, 7.5, n_in), rng.uniform(-0.4, 1.4, n_in)
+    inside = np.stack([r * np.cos(yaw), r * np.sin(yaw), rng.uniform(0.0, 1.0, n_in),
+                       np.ones(n_in), np.zeros(n_in)], axis=1)
+    r, yaw = rng.uniform(11.5, 20.0, n_out), rng.uniform(-0.4, 1.4, n_out)
+    outside = np.stack([r * np.cos(yaw), r * np.sin(yaw), rng.uniform(0.0, 1.0, n_out),
+                        np.ones(n_out), np.zeros(n_out)], axis=1)
+    assert not geo.bev_indices(outside[:, :2], BEV16)[2].any()
+    seen = [geo.project_points(outside[:, :3], cam)[2] for cam in cams]
+    assert all(mask.sum() >= 10 for mask in seen)
+    if placement == "appended":
+        both = np.concatenate([inside, outside])
+    else:
+        both = np.insert(outside, np.sort(rng.integers(0, n_out + 1, n_in)), inside, axis=0)
+    feats = [Tensor(rng.normal(size=(16, 16, 3))) for _ in cams]
+    weight = rng.normal(size=(16, 16, 3))
+    out, grads, _ = output_and_grads(
+        lambda ts: vt.point_stream(sc.PointCloud(inside), ts, cams, BEV16), feats, weight
+    )
+    out_both, grads_both, _ = output_and_grads(
+        lambda ts: vt.point_stream(sc.PointCloud(both), ts, cams, BEV16), feats, weight
+    )
+    assert np.any(out != 0) and all(np.any(g != 0) for g in grads)
+    assert np.array_equal(out_both, out)
+    for g_both, g in zip(grads_both, grads):
+        assert np.array_equal(g_both, g)
+
+
 @pytest.mark.filterwarnings("error")  # numpy's "invalid value encountered in cast" is the fault
 def test_point_stream_drops_a_far_point_without_a_cast():
     cam = sc.default_rig(16, 16)[0]
