@@ -9,12 +9,13 @@ Conventions used throughout the package:
     out-of-view or out-of-range entry is flagged False in its boolean mask
     (index -1 where the rule returns one), never an error.
 
-Rig and scene files share one INI text format, written by write_ini and read by read_ini
-from a table {form: (build, {key: parse})}. One rule holds for every section: its header is
-exactly "KIND <name>" for a form "KIND NAME" or "KIND" for a form "KIND", it holds exactly
-its form's keys, and sections come in any order. Any other header, key set or value raises
-a ValueError naming the file and the section, or for a line that opens with "[" but is not a
-whole unindented header, the line. A rig file is "[camera NAME]" sections.
+Rig and scene files share one INI text format, and one table {form: (build, {key: parse})}
+writes and reads each section: write_ini writes its form's keys off an object, ints as they
+are and the rest as repr floats, and read_ini parses them back and builds the object. Every
+section's header is exactly "KIND <name>" for a form "KIND NAME" or "KIND" for a form "KIND",
+it holds exactly its form's keys, and sections come in any order. Any other header, key set
+or value raises a ValueError naming the file and the section, or for a line that opens with
+"[" but is not a whole unindented header, the line. A rig file is "[camera NAME]" sections.
 """
 
 from __future__ import annotations
@@ -29,10 +30,31 @@ _Z_EPS = 1e-6
 
 
 def require_finite(config) -> None:
-    """Raise a ValueError naming the config and its first field holding a non-finite number."""
+    """Raise a ValueError naming the config and its first field holding no finite number."""
+    owner = type(config).__name__
     for name, value in vars(config).items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{type(config).__name__}: {name} must be finite, got {value}")
+        try:
+            finite = np.isfinite(value).all()
+        except TypeError:
+            raise ValueError(f"{owner}: {name} must be a number, not {type(value).__name__}") from None
+        if not finite:
+            raise ValueError(f"{owner}: {name} must be finite, got {value}")
+
+
+def require_int(owner: str, **fields) -> None:
+    """Raise a ValueError naming the owner, field and type of the first non-integer value."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{owner}: {name} must be an integer, not {type(value).__name__}")
+
+
+def freeze(obj, *names) -> tuple[np.ndarray, ...]:
+    """Set each named field of obj to a read-only, C-contiguous float64 copy; return the copies."""
+    copies = tuple(np.array(getattr(obj, name), dtype=np.float64, order="C") for name in names)
+    for name, arr in zip(names, copies):
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+    return copies
 
 
 @dataclass(frozen=True)
@@ -52,10 +74,10 @@ class CameraParams:
             raise ValueError("fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        require_int("CameraParams", width=self.width, height=self.height)
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
-        R = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
+        R, t = freeze(self, "rotation", "translation")
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose must be a 3x3 rotation and a 3-vector")
         if not np.isfinite(t).all():
@@ -68,10 +90,6 @@ class CameraParams:
             or abs(np.linalg.det(R) - 1.0) > 1e-9
         ):
             raise ValueError("rotation must be orthonormal with det +1")
-        R.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
 
     @property
     def center(self) -> np.ndarray:
@@ -87,6 +105,7 @@ class DepthBins:
 
     def __post_init__(self):
         require_finite(self)
+        require_int("DepthBins", count=self.count)
         if self.d_min <= 0 or self.d_max <= self.d_min or self.count < 1:
             raise ValueError("need 0 < d_min < d_max and count >= 1")
 
@@ -108,6 +127,7 @@ class BEVConfig:
 
     def __post_init__(self):
         require_finite(self)
+        require_int("BEVConfig", n=self.n)
         if self.x_max <= self.x_min or self.y_max <= self.y_min or self.n < 1:
             raise ValueError("need x_max > x_min, y_max > y_min, n >= 1")
 
@@ -230,13 +250,23 @@ def parse_floats(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split()])
 
 
-def write_ini(path, sections) -> None:
-    """Write (header, {key: value}) sections: ints as they are, floats by repr, space-separated."""
+def _form(path, header: str, forms) -> tuple:
+    """(build, {key: parse}, name) of a header's form: "KIND NAME" for "KIND name", else itself."""
+    kind, _, name = header.partition(" ")
+    form = f"{kind} NAME" if name else header
+    if form not in forms:
+        raise ValueError(f"{path}: unknown section [{header}], expected one of {list(forms)}")
+    return (*forms[form], name)
+
+
+def write_ini(path, sections, forms) -> None:
+    """Write (header, object) sections, each key of the header's form read off its object."""
     lines = []
-    for header, fields in sections:
+    for header, obj in sections:
         lines.append(f"[{header}]")
-        for key, value in fields.items():
-            if not isinstance(value, (int, np.integer)):
+        for key, parse in _form(path, header, forms)[1].items():
+            value = getattr(obj, key)
+            if parse is not int:
                 value = " ".join(repr(float(v)) for v in np.ravel(value))
             lines.append(f"{key} = {value}")
         lines.append("")
@@ -261,11 +291,7 @@ def read_ini(path, forms) -> dict:
         raise ValueError(f"{path}: {err}") from None
     built = {}
     for header in parser.sections():
-        kind, _, name = header.partition(" ")
-        form = f"{kind} NAME" if name else header
-        if form not in forms:
-            raise ValueError(f"{path}: unknown section [{header}], expected one of {list(forms)}")
-        build, parsers = forms[form]
+        build, parsers, name = _form(path, header, forms)
         section = parser[header]
         mismatch = sorted(parsers.keys() ^ set(section))
         if mismatch:
@@ -286,11 +312,7 @@ _RIG_FORMAT = {"camera NAME": (lambda name, **fields: CameraParams(name=name, **
 
 
 def save_rig(path, cameras: list[CameraParams]) -> None:
-    write_ini(path, [(f"camera {cam.name}", {
-        "fx": float(cam.fx), "fy": float(cam.fy), "cx": float(cam.cx), "cy": float(cam.cy),
-        "width": cam.width, "height": cam.height,
-        "rotation": cam.rotation, "translation": cam.translation,
-    }) for cam in cameras])
+    write_ini(path, [(f"camera {cam.name}", cam) for cam in cameras], _RIG_FORMAT)
 
 
 def load_rig(path) -> list[CameraParams]:

@@ -2,9 +2,10 @@
 
 Every learned block in the pipeline is assembled from the primitives here,
 so one backward() implementation serves the whole model. Tensors are
-immutable values; gradients live in the tape, keyed by tensor id, not on
-the tensors themselves. Running ops outside any ``with Tape()`` block is
-the tape-free inference path.
+immutable values because a tensor copies what it is given (geometry.freeze),
+and an op's output is an array only the library holds. Gradients live in the
+tape, keyed by tensor id, not on the tensors themselves. Running ops outside
+any ``with Tape()`` block is the tape-free inference path.
 
 backward() keeps the gradients of the tape's leaves only, the tensors no node
 on the tape produced (parameters, input data); each intermediate gradient is
@@ -29,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import freeze
+
 # Ops that make only finite values from finite inputs (clamp checks its bounds); no scan.
 _FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu", "clamp"})
 
@@ -48,23 +51,22 @@ class Tensor:
     """Immutable row-major float64 array with a process-unique id.
 
     The id is what the tape keys gradients by; two tensors never share one.
-    Construction rejects NaN/Inf so a poisoned value surfaces at the op
-    that made it instead of ten ops later.
+    Construction copies its data and rejects NaN/Inf, so a poisoned value
+    surfaces at the op that made it instead of ten ops later.
     """
 
     __slots__ = ("data", "id")
 
     def __init__(self, data):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = data
+        (arr,) = freeze(self, "data")
         if not np.isfinite(arr).all():
             raise NumericError("tensor contains NaN or Inf")
-        arr.flags.writeable = False
-        self.data = arr
         self.id = next(_tensor_ids)
 
     @classmethod
     def _unscanned(cls, data) -> Tensor:
-        """The constructor without the NaN/Inf scan, for data already known finite."""
+        """The constructor without copy or NaN/Inf scan, for an array only the library holds."""
         t = cls.__new__(cls)
         t.data = np.ascontiguousarray(data, dtype=np.float64)
         t.data.flags.writeable = False
@@ -183,12 +185,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
 
 def _emit(op, inputs, out_arr, saved, vjp) -> Tensor:
     tape = active_tape()
-    try:
-        out = Tensor._unscanned(out_arr) if op in _FINITE_OPS else Tensor(out_arr)
-    except NumericError as err:
+    out = Tensor._unscanned(out_arr)
+    if op not in _FINITE_OPS and not np.isfinite(out.data).all():
         shapes = ", ".join(str(t.shape) for t in inputs)
         node = "" if tape is None else f" at tape node {len(tape.nodes)}"
-        raise NumericError(f"{op} on inputs {shapes}{node}: {err}") from None
+        raise NumericError(f"{op} on inputs {shapes}{node}: tensor contains NaN or Inf")
     if tape is not None:
         tape.record(op, inputs, out, saved, vjp)
     return out

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    BEVConfig, CameraParams, look_at_pose, parse_floats, read_ini, rotation_z, write_ini,
+    BEVConfig, CameraParams, freeze, look_at_pose, parse_floats, read_ini, require_int,
+    rotation_z, write_ini,
 )
 
 _RAY_EPS = 1e-9
@@ -66,22 +67,16 @@ class ObjectBox:
     class_id: int
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.center, dtype=np.float64))
-        s = np.ascontiguousarray(np.asarray(self.size, dtype=np.float64))
-        v = np.ascontiguousarray(np.asarray(self.velocity, dtype=np.float64))
+        c, s, v = freeze(self, "center", "size", "velocity")
         if c.shape != (3,) or s.shape != (3,) or v.shape != (2,):
             raise ValueError("box needs center[3], size[3], velocity[2]")
         if not np.isfinite(np.concatenate((c, s, v, [self.yaw]))).all():
             raise ValueError("box center, size, velocity and yaw must be finite")
         if np.any(s <= 0):
             raise ValueError("box sizes must be positive")
+        require_int("ObjectBox", class_id=self.class_id)
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
-        for arr in (c, s, v):
-            arr.flags.writeable = False
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "size", s)
-        object.__setattr__(self, "velocity", v)
 
     def footprint(self) -> np.ndarray:
         """4 corner points [4,2] of the yawed rectangle on the ground plane."""
@@ -98,6 +93,7 @@ class Scene:
     class_count: int = 10
 
     def __post_init__(self):
+        require_int("Scene", seed=self.seed, class_count=self.class_count)
         if self.class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {self.class_count}")
 
@@ -109,13 +105,11 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        (pts,) = freeze(self, "points")
         if pts.ndim != 2 or pts.shape[1] != 5:
             raise ValueError("point cloud must be N x 5")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
 
     def __len__(self):
         return self.points.shape[0]
@@ -154,22 +148,14 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     """
     if num_boxes < 0:
         raise ValueError("num_boxes must be non-negative")
-    if class_count < 1:
-        raise ValueError(f"class_count must be >= 1, got {class_count}")
+    Scene((), seed, class_count)  # checks seed and class_count before any draw
     rng = np.random.default_rng(np.random.PCG64(seed))
     boxes: list[ObjectBox] = []
     attempts = 0
     budget = 10 * num_boxes
-    ego = np.array(
-        [
-            [EGO_CLEARANCE, EGO_CLEARANCE],
-            [EGO_CLEARANCE, -EGO_CLEARANCE],
-            [-EGO_CLEARANCE, -EGO_CLEARANCE],
-            [-EGO_CLEARANCE, EGO_CLEARANCE],
-        ]
-    )
     # The ego square, then each placed box: (center xy, bounding-circle radius, footprint).
-    taken = [((0.0, 0.0), EGO_CLEARANCE * math.sqrt(2.0), ego)]
+    ego = ObjectBox(np.zeros(3), np.full(3, 2.0 * EGO_CLEARANCE), 0.0, np.zeros(2), 0)
+    taken = [((0.0, 0.0), EGO_CLEARANCE * math.sqrt(2.0), ego.footprint())]
     while len(boxes) < num_boxes:
         if attempts >= budget:
             raise PlacementError(
@@ -353,7 +339,8 @@ def lidar_scan(
         )
     if origin[2] <= 0:
         raise ValueError("LiDAR origin must be above the ground plane")
-    if not isinstance(azimuth_count, (int, np.integer)) or azimuth_count < 1:
+    require_int("lidar_scan", azimuth_count=azimuth_count)
+    if azimuth_count < 1:
         raise ValueError(f"azimuth_count must be a positive integer, got {azimuth_count!r}")
     elevations = np.asarray(elevation_angles, dtype=np.float64)
     if elevations.ndim != 1:
@@ -442,10 +429,8 @@ _SCENE_FORMAT = {
 
 
 def save_scene(path, scene: Scene) -> None:
-    write_ini(path, [("scene", {"seed": scene.seed, "class_count": scene.class_count})] + [(
-        f"box {i}", {"center": box.center, "size": box.size, "yaw": float(box.yaw),
-                     "velocity": box.velocity, "class_id": box.class_id},
-    ) for i, box in enumerate(scene.boxes)])
+    boxes = [(f"box {i}", box) for i, box in enumerate(scene.boxes)]
+    write_ini(path, [("scene", scene)] + boxes, _SCENE_FORMAT)
 
 
 def load_scene(path) -> Scene:

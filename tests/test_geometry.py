@@ -7,6 +7,8 @@ from bevkit import geometry as geo
 from bevkit import oracles
 from bevkit import scene as sc
 from bevkit.geometry import BEVConfig, CameraParams, DepthBins
+from bevkit.numerics import Tensor
+from bevkit.scene import ObjectBox, PointCloud, Scene
 
 
 def random_camera(rng, width=64, height=48):
@@ -341,6 +343,16 @@ def test_rig_camera_name_is_the_rest_of_the_header(tmp_path):
     assert [cam.name for cam in geo.load_rig(path)] == ["front left", "back"]
 
 
+def test_a_camera_with_no_name_is_not_saved(tmp_path):
+    """Its header "camera " has no form in the table, so saving it fails by the rule that
+    loading the file would, and writes nothing."""
+    path = tmp_path / "rig.txt"
+    cam = CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=np.zeros(3), name="")
+    with pytest.raises(ValueError, match=r"rig.txt: unknown section \[camera \]"):
+        geo.save_rig(path, [cam])
+    assert not path.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -359,3 +371,101 @@ def test_depth_bins_reject_non_finite_values(field, value):
     args = {"d_min": 0.5, "d_max": 8.5, "count": 16, field: value}
     with pytest.raises(ValueError, match=f"DepthBins: {field} must be finite, got {value}"):
         DepthBins(**args)
+
+
+def test_rig_and_scene_file_text_is_pinned(tmp_path):
+    """Both files are written from the tables that read them: each form's keys in table order,
+    an int-parsed key as it is (a numpy integer too), every other key as repr floats."""
+    turn = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    rig = [
+        CameraParams(0.1, 1 / 3, 32.25, 1e-17, np.int64(64), np.int32(48), rotation=turn,
+                     translation=[0.0, 2e20, -0.3], name="front left"),
+        CameraParams(40, np.int16(40), 32, 24, 64, 48, rotation=np.eye(3),
+                     translation=np.zeros(3), name="back"),
+    ]
+    path = tmp_path / "rig.txt"
+    geo.save_rig(path, rig)
+    assert path.read_text() == (
+        "[camera front left]\n"
+        "fx = 0.1\nfy = 0.3333333333333333\ncx = 32.25\ncy = 1e-17\nwidth = 64\nheight = 48\n"
+        "rotation = 0.0 -1.0 0.0 0.0 0.0 -1.0 1.0 0.0 0.0\ntranslation = 0.0 2e+20 -0.3\n\n"
+        "[camera back]\n"
+        "fx = 40.0\nfy = 40.0\ncx = 32.0\ncy = 24.0\nwidth = 64\nheight = 48\n"
+        "rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0\ntranslation = 0.0 0.0 0.0\n"
+    )
+    boxes = (
+        ObjectBox(center=(-1.1, 2.0, 0.35), size=(2.4, 0.7, 1 / 7), yaw=np.float32(0.5),
+                  velocity=(1e-5, -0.0), class_id=np.int64(2)),
+        ObjectBox(center=(3, 4, 1), size=(1, 2, 2), yaw=-3, velocity=(0, 0), class_id=0),
+    )
+    path = tmp_path / "scene.txt"
+    sc.save_scene(path, Scene(boxes, seed=np.int64(12), class_count=3))
+    assert path.read_text() == (
+        "[scene]\nseed = 12\nclass_count = 3\n\n"
+        "[box 0]\ncenter = -1.1 2.0 0.35\nsize = 2.4 0.7 0.14285714285714285\nyaw = 0.5\n"
+        "velocity = 1e-05 -0.0\nclass_id = 2\n\n"
+        "[box 1]\ncenter = 3.0 4.0 1.0\nsize = 1.0 2.0 2.0\nyaw = -3.0\n"
+        "velocity = 0.0 0.0\nclass_id = 0\n"
+    )
+
+
+@pytest.mark.parametrize("value", [32.5, 32.0, "32", True, np.float64(32)])
+def test_bev_config_rejects_a_non_integer_n(value):
+    """n = 32.5 used to fail only in heatmap_target, with numpy's untyped TypeError."""
+    with pytest.raises(ValueError, match=f"BEVConfig: n must be .*, not {type(value).__name__}"):
+        BEVConfig(-8, 8, -8, 8, value)
+
+
+@pytest.mark.parametrize("value", [16.5, 16.0, True, "16"])
+def test_depth_bins_reject_a_non_integer_count(value):
+    """count = 16.5 used to give 17 centres, the last at d_max."""
+    with pytest.raises(ValueError, match=f"DepthBins: count must be .*, not {type(value).__name__}"):
+        DepthBins(0.5, 8.5, value)
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", [64.0, np.float32(64), "64"])
+def test_camera_rejects_a_non_integer_image_size(field, value):
+    args = dict(fx=8, fy=8, cx=8, cy=8, width=64, height=48, rotation=np.eye(3),
+                translation=np.zeros(3))
+    expected = f"CameraParams: {field} must be an integer, not {type(value).__name__}"
+    with pytest.raises(ValueError, match=expected):
+        CameraParams(**{**args, field: value})
+
+
+@pytest.mark.parametrize("integer", [int, np.int8, np.int64, np.uint16])
+def test_integer_fields_take_python_and_numpy_integers(integer):
+    assert BEVConfig(-8, 8, -8, 8, integer(32)).cell_w == 0.5
+    assert DepthBins(0.5, 8.5, integer(16)).centers()[-1] == 8.25
+    cam = CameraParams(8, 8, 8, 8, integer(16), integer(12), rotation=np.eye(3),
+                       translation=np.zeros(3))
+    assert (cam.width, cam.height) == (16, 12)
+
+
+# Each value that holds an array, built from one float64 array given as shape, and the field
+# that holds its copy.
+FROZEN_VALUES = {
+    "Tensor": (lambda a: Tensor(a), "data", (2, 3)),
+    "CameraParams": (lambda a: CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=a),
+                     "translation", (3,)),
+    "ObjectBox": (lambda a: ObjectBox(a, np.ones(3), 0.0, np.zeros(2), 0), "center", (3,)),
+    "PointCloud": (lambda a: PointCloud(a), "points", (4, 5)),
+}
+
+
+@pytest.mark.parametrize("build, field, shape", FROZEN_VALUES.values(), ids=FROZEN_VALUES.keys())
+def test_a_frozen_value_leaves_the_callers_array_writable(build, field, shape):
+    given = np.ones(shape)
+    value = build(given)
+    assert given.flags.writeable
+    given[...] = 7.0
+    np.testing.assert_array_equal(getattr(value, field), np.ones(shape))
+    assert not getattr(value, field).flags.writeable
+
+
+@pytest.mark.parametrize("build, field, shape", FROZEN_VALUES.values(), ids=FROZEN_VALUES.keys())
+def test_a_frozen_value_ignores_writes_to_its_views_base(build, field, shape):
+    base = np.ones(1 + int(np.prod(shape)))
+    value = build(base[1:].reshape(shape))  # a C-contiguous float64 view, so no copy is needed
+    base[...] = 7.0
+    np.testing.assert_array_equal(getattr(value, field), np.ones(shape))

@@ -117,6 +117,49 @@ def test_importing_the_simulator_leaves_the_tape_unloaded():
     assert "bevkit.scene" in loaded and "bevkit.numerics" not in loaded
 
 
+def test_every_module_of_the_package_resolves_as_an_attribute():
+    """Submodules are found, not listed: each *.py module pkgutil finds is bevkit.<name>."""
+    names = [info.name for info in pkgutil.iter_modules(bevkit.__path__)]
+    assert "numerics" in names and "scene" in names
+    for name in names:
+        module = importlib.import_module(f"bevkit.{name}")
+        assert bevkit.__getattr__(name) is module and getattr(bevkit, name) is module
+
+
+def test_a_missing_module_inside_a_submodule_propagates(monkeypatch):
+    """Only bevkit.<name>'s own ModuleNotFoundError becomes an AttributeError."""
+    def import_module(name):
+        raise ModuleNotFoundError(f"No module named {'shapely'!r}", name="shapely")
+
+    monkeypatch.setattr(importlib, "import_module", import_module)
+    with pytest.raises(ModuleNotFoundError, match="No module named 'shapely'") as err:
+        bevkit.__getattr__("scene")
+    assert err.value.name == "shapely"
+
+
+@pytest.mark.parametrize("name", ["nope", "geometry.nope", "", "__wrapped__"])
+def test_a_name_with_no_module_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(bevkit, name)
+    assert not hasattr(bevkit, name)
+
+
+def test_only_geometry_freeze_and_the_tensor_set_writeable():
+    """One rule makes a value's arrays read-only: geometry.freeze, plus Tensor._unscanned for
+    the arrays only the library holds. No other production module sets flags.writeable."""
+    package = Path(bevkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("geometry.py", "numerics.py"):
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        assigned = {
+            getattr(target, "attr", None)
+            for node in nodes if isinstance(node, ast.Assign) for target in node.targets
+        }
+        called = {getattr(node.func, "attr", None) for node in nodes if isinstance(node, ast.Call)}
+        assert "writeable" not in assigned and "setflags" not in called, path.name
+
+
 def test_submodules_resolve_as_package_attributes():
     assert bevkit.scene is importlib.import_module("bevkit.scene")
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):

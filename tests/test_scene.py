@@ -38,6 +38,34 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="class_count"):
             Scene(boxes=(), seed=0, class_count=-1)
 
+    @pytest.mark.parametrize("class_count", [2.5, 2.0, "2", True])
+    def test_non_integer_class_count_rejected_before_any_draw(self, class_count, monkeypatch):
+        """class_count 2.5 used to give a scene whose saved file did not load."""
+        monkeypatch.setattr(np.random, "default_rng", lambda *_: pytest.fail("drew first"))
+        expected = f"Scene: class_count must be an integer, not {type(class_count).__name__}"
+        with pytest.raises(ValueError, match=expected):
+            sc.generate_scene(3, DESK, class_count=class_count, seed=1)
+
+    @pytest.mark.parametrize("field", ["seed", "class_count"])
+    @pytest.mark.parametrize("value", [2.5, np.float64(3), "2"])
+    def test_scene_with_a_non_integer_field_rejected(self, field, value):
+        """A seed of 1.5 used to be saved as "seed = 1.5", a file that does not load."""
+        kind = type(value).__name__
+        with pytest.raises(ValueError, match=f"Scene: {field} must be an integer, not {kind}"):
+            Scene(**{"boxes": (), "seed": 0, "class_count": 3, field: value})
+
+    @pytest.mark.parametrize("class_id", [2.0, np.float32(1), True])
+    def test_box_with_a_non_integer_class_id_rejected(self, class_id):
+        kind = type(class_id).__name__
+        with pytest.raises(ValueError, match=f"ObjectBox: class_id must be an integer, not {kind}"):
+            box((0.0, 0.0, 0.5), cls=class_id)
+
+    def test_numpy_integer_class_count_accepted(self):
+        a = sc.generate_scene(3, DESK, class_count=np.int32(4), seed=1)
+        b = sc.generate_scene(3, DESK, class_count=4, seed=1)
+        assert a.class_count == 4
+        assert [box.class_id for box in a.boxes] == [box.class_id for box in b.boxes]
+
     def test_deterministic(self):
         a = sc.generate_scene(5, DESK, seed=7)
         b = sc.generate_scene(5, DESK, seed=7)
@@ -708,6 +736,13 @@ class TestLidarScanInput:
     def test_two_vector_origin_rejected(self):
         with pytest.raises(ValueError, match=r"sensor_origin must be 3 finite values, got shape \(2,\)"):
             sc.lidar_scan(self.SCENE, [0.0, 1.6], 16, [-0.2])
+
+    @pytest.mark.parametrize("count", [True, 8.0, "8"])
+    def test_non_integer_azimuth_count_rejected(self, count):
+        """True used to pass the check and fail in numpy with an untyped TypeError."""
+        kind = type(count).__name__
+        with pytest.raises(ValueError, match=f"lidar_scan: azimuth_count must be an integer, not {kind}"):
+            sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], count, [-0.2])
 
     def test_negative_azimuth_count_rejected(self):
         with pytest.raises(ValueError, match="azimuth_count must be a positive integer, got -3"):
