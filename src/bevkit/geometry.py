@@ -1,4 +1,4 @@
-"""Pinhole cameras, rigid poses, depth binning, BEV grid indexing, and the rig file format.
+"""Pinhole cameras, rigid poses, depth binning, BEV grid indexing, and field checks.
 
 Conventions used throughout the package:
   - camera-from-world pose: p_cam = R @ p_world + t, camera looks along +z,
@@ -9,19 +9,12 @@ Conventions used throughout the package:
     out-of-view or out-of-range entry is flagged False in its boolean mask
     (index -1 where the rule returns one), never an error.
 
-Rig and scene files share one INI text format, and one table {form: (build, {key: parse})}
-writes and reads each section: write_ini writes its form's keys off an object, ints as they
-are and the rest as repr floats, and read_ini parses them back and builds the object. Every
-section's header is exactly "KIND <name>" for a form "KIND NAME" or "KIND" for a form "KIND",
-it holds exactly its form's keys, and sections come in any order. Any other header, key set
-or value raises a ValueError naming the file and the section, or for a line that opens with
-"[" but is not a whole unindented header, the line. A rig file is "[camera NAME]" sections.
+Value types check their fields once, at construction: require_finite and require_int name
+the owner and field at fault, and freeze gives each array field a read-only float64 copy.
 """
 
 from __future__ import annotations
 
-import configparser
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,82 +234,3 @@ def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)):
     R = np.stack([right, down, fwd], axis=0)  # world -> camera rows
     t = -R @ eye
     return R, t
-
-
-# --- the INI text format of rig and scene files (see the module docstring) ---
-
-
-def parse_floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()])
-
-
-def _form(path, header: str, forms) -> tuple:
-    """(build, {key: parse}, name) of a header's form: "KIND NAME" for "KIND name", else itself."""
-    kind, _, name = header.partition(" ")
-    form = f"{kind} NAME" if name else header
-    if form not in forms:
-        raise ValueError(f"{path}: unknown section [{header}], expected one of {list(forms)}")
-    return (*forms[form], name)
-
-
-def write_ini(path, sections, forms) -> None:
-    """Write (header, object) sections, each key of the header's form read off its object."""
-    lines = []
-    for header, obj in sections:
-        lines.append(f"[{header}]")
-        for key, parse in _form(path, header, forms)[1].items():
-            value = getattr(obj, key)
-            if parse is not int:
-                value = " ".join(repr(float(v)) for v in np.ravel(value))
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-
-
-def read_ini(path, forms) -> dict:
-    """{header: built object} of an INI file's sections in file order, by a format table."""
-    # default_section "" matches no header, so [DEFAULT] is an unknown section. A damaged or
-    # indented header is caught first: configparser files its keys under the section before.
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-        for number, text in enumerate((line.rstrip() for line in lines), 1):
-            if text.lstrip().startswith("[") and not parser.SECTCRE.match(text):
-                raise ValueError(f"{path}: [line {number}] damaged section header {text!r}")
-        parser.read_file(lines, source=str(path))
-    except (configparser.Error, UnicodeDecodeError) as err:
-        raise ValueError(f"{path}: {err}") from None
-    built = {}
-    for header in parser.sections():
-        build, parsers, name = _form(path, header, forms)
-        section = parser[header]
-        mismatch = sorted(parsers.keys() ^ set(section))
-        if mismatch:
-            state = "missing" if mismatch[0] in parsers else "unknown"
-            raise ValueError(f"{path}: [{header}] {state} key {mismatch[0]!r}")
-        try:
-            values = {key: parse(section[key]) for key, parse in parsers.items()}
-            built[header] = build(name, **values)
-        except ValueError as err:
-            raise ValueError(f"{path}: [{header}] {err}") from None
-    return built
-
-
-_RIG_FORMAT = {"camera NAME": (lambda name, **fields: CameraParams(name=name, **fields), {
-    "fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
-    "rotation": lambda text: parse_floats(text).reshape(3, 3), "translation": parse_floats,
-})}
-
-
-def save_rig(path, cameras: list[CameraParams]) -> None:
-    write_ini(path, [(f"camera {cam.name}", cam) for cam in cameras], _RIG_FORMAT)
-
-
-def load_rig(path) -> list[CameraParams]:
-    cams = list(read_ini(path, _RIG_FORMAT).values())
-    if not cams:
-        raise ValueError(f"{path}: no [camera ...] section")
-    return cams

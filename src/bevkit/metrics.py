@@ -14,7 +14,6 @@ BoxRecord rows; this module imports nothing from bevkit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,16 +35,14 @@ class BoxRecord:
     yaw: float
     velocity: np.ndarray  # [2]
 
+    def __post_init__(self):
+        # A record owns its arrays: later writes to the caller's arrays do not reach it.
+        for name in ("center", "size", "velocity"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+
     @classmethod
     def from_object_box(cls, box):
-        return cls(
-            class_id=box.class_id,
-            score=1.0,
-            center=np.asarray(box.center, dtype=np.float64),
-            size=np.asarray(box.size, dtype=np.float64),
-            yaw=float(box.yaw),
-            velocity=np.asarray(box.velocity, dtype=np.float64),
-        )
+        return cls(box.class_id, 1.0, box.center, box.size, float(box.yaw), box.velocity)
 
 
 @dataclass(frozen=True)
@@ -211,34 +208,3 @@ def evaluate(
     return EvalResult(
         class_ap=class_ap, mean_ap=mean_ap, tp_errors=errors, nds=nds(mean_ap, errors)
     )
-
-
-# --- report files: tab-separated table plus a JSON mirror ---
-
-
-def write_report(path_tsv, path_json, result: EvalResult, thresholds=DEFAULT_THRESHOLDS):
-    header = ["class"] + [f"AP@{t}" for t in thresholds] + [
-        "mAP", "mATE", "mASE", "mAOE", "mAVE", "NDS",
-    ]
-    lines = ["\t".join(header)]
-    for cls in sorted(result.class_ap):
-        aps = [result.class_ap[cls][t] for t in thresholds]
-        row = [str(cls)] + [f"{a:.6f}" if not math.isnan(a) else "nan" for a in aps]
-        row += [f"{result.mean_ap:.6f}"]
-        row += [f"{result.tp_errors[n]:.6f}" for n in ERROR_NAMES]
-        row += [f"{result.nds:.6f}"]
-        lines.append("\t".join(row))
-    with open(path_tsv, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    payload = {
-        "class_ap": {
-            str(cls): {str(t): result.class_ap[cls][t] for t in thresholds}
-            for cls in sorted(result.class_ap)
-        },
-        "mAP": result.mean_ap,
-        "tp_errors": result.tp_errors,
-        "NDS": result.nds,
-    }
-    with open(path_json, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -468,53 +467,3 @@ def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
         err = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]))
         worst = max(worst, err)
     return worst
-
-
-# --- BKT1 tensor files: u32 rank, u64 extents, f64 payload (LE) ---
-
-_TENSOR_MAGIC = b"BKT1"
-
-
-def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    return tensor_from_bytes(blob, str(path))
-
-
-def tensor_to_bytes(t: Tensor) -> bytes:
-    return (
-        _TENSOR_MAGIC
-        + struct.pack("<I", t.ndim)
-        + struct.pack(f"<{t.ndim}Q", *t.shape)
-        + t.data.astype("<f8").tobytes()
-    )
-
-
-def tensor_from_bytes(blob: bytes, origin: str = "<bytes>") -> Tensor:
-    if blob[:4] != _TENSOR_MAGIC:
-        raise ValueError(f"{origin}: bad tensor magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise ValueError(f"{origin}: truncated tensor header")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    header = 8 + 8 * rank
-    if len(blob) < header:
-        raise ValueError(f"{origin}: truncated tensor header")
-    shape = struct.unpack_from(f"<{rank}Q", blob, 8)
-    # numpy needs the nonzero extents' byte size to fit its index type.
-    if 8 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
-        raise ValueError(f"{origin}: extents {shape} are too large for an array")
-    count = math.prod(shape)
-    payload = blob[header:]
-    if len(payload) != 8 * count:
-        raise ValueError(
-            f"{origin}: payload holds {len(payload) // 8} values, shape needs {count}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{origin}: payload holds NaN or Inf")
-    return Tensor._unscanned(arr)

@@ -15,9 +15,6 @@ the slab test's parallel rule, and a row subset goes through the same
 elementwise ops and matmul rows as the full arrays.
 Everything is a pure function of the seed: same inputs, bit-identical
 outputs, so a point cloud is never stored but re-simulated from its scene.
-A scene file is geometry's INI text format under its one section rule: a
-[scene] section (seed, class_count) and a [box NAME] section per box
-(center, size, yaw, velocity, class_id).
 """
 
 from __future__ import annotations
@@ -27,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    BEVConfig, CameraParams, freeze, look_at_pose, parse_floats, read_ini, require_int,
-    rotation_z, write_ini,
-)
+from .geometry import BEVConfig, CameraParams, freeze, look_at_pose, require_int, rotation_z
 
 _RAY_EPS = 1e-9
 
@@ -79,11 +73,16 @@ class ObjectBox:
             raise ValueError("class_id must be non-negative")
 
     def footprint(self) -> np.ndarray:
-        """4 corner points [4,2] of the yawed rectangle on the ground plane."""
-        l, w = self.size[0] / 2.0, self.size[1] / 2.0
-        corners = np.array([[l, w], [l, -w], [-l, -w], [-l, w]])
-        R = rotation_z(self.yaw)[:2, :2]
-        return corners @ R.T + self.center[:2]
+        """4 corner points [4,2] of the box's yawed rectangle on the ground plane."""
+        return footprint_corners(self.center[:2], self.size, self.yaw)
+
+
+def footprint_corners(center_xy, size, yaw: float) -> np.ndarray:
+    """4 corner points [4,2] of a yawed l x w rectangle on the ground plane."""
+    l, w = size[0] / 2.0, size[1] / 2.0
+    corners = np.array([[l, w], [l, -w], [-l, -w], [-l, w]])
+    R = rotation_z(yaw)[:2, :2]
+    return corners @ R.T + center_xy
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,11 @@ class Scene:
         require_int("Scene", seed=self.seed, class_count=self.class_count)
         if self.class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {self.class_count}")
+        for i, box in enumerate(self.boxes):
+            if box.class_id >= self.class_count:
+                raise ValueError(
+                    f"Scene: box {i} has class_id {box.class_id} >= class_count {self.class_count}"
+                )
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,8 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     """Rejection-sample non-overlapping boxes fully inside the BEV range.
 
     The total attempt budget is 10 * num_boxes; exhausting it raises
-    PlacementError rather than returning a partial scene. Each placed box's
+    PlacementError rather than returning a partial scene. An attempt is
+    rejected on its footprint alone, so only a kept box is built; each
     footprint is computed once, and the separating-axis test runs only on
     pairs whose bounding circles meet, which cannot change the outcome.
     """
@@ -154,8 +159,8 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     attempts = 0
     budget = 10 * num_boxes
     # The ego square, then each placed box: (center xy, bounding-circle radius, footprint).
-    ego = ObjectBox(np.zeros(3), np.full(3, 2.0 * EGO_CLEARANCE), 0.0, np.zeros(2), 0)
-    taken = [((0.0, 0.0), EGO_CLEARANCE * math.sqrt(2.0), ego.footprint())]
+    ego = footprint_corners(np.zeros(2), np.full(3, 2.0 * EGO_CLEARANCE), 0.0)
+    taken = [((0.0, 0.0), EGO_CLEARANCE * math.sqrt(2.0), ego)]
     while len(boxes) < num_boxes:
         if attempts >= budget:
             raise PlacementError(
@@ -170,14 +175,7 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
         y = rng.uniform(bev_cfg.y_min, bev_cfg.y_max)
         velocity = rng.uniform(-2.0, 2.0, size=2)
         class_id = int(rng.integers(0, class_count))
-        box = ObjectBox(
-            center=np.array([x, y, size[2] / 2.0]),
-            size=size,
-            yaw=yaw,
-            velocity=velocity,
-            class_id=class_id,
-        )
-        fp = box.footprint()
+        fp = footprint_corners(np.array([x, y]), size, yaw)
         if (
             fp[:, 0].min() < bev_cfg.x_min
             or fp[:, 0].max() >= bev_cfg.x_max
@@ -191,7 +189,7 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
             for c, r, other in taken
         ):
             continue
-        boxes.append(box)
+        boxes.append(ObjectBox(np.array([x, y, size[2] / 2.0]), size, yaw, velocity, class_id))
         taken.append(((x, y), radius, fp))
     return Scene(boxes=tuple(boxes), seed=seed, class_count=class_count)
 
@@ -416,30 +414,3 @@ def default_lidar_origin() -> np.ndarray:
 
 def default_elevations(count: int = 16) -> np.ndarray:
     return np.deg2rad(np.linspace(-30.0, 2.0, count))
-
-
-# The scene header is checked on its own (an empty Scene), before any box meets class_count.
-_SCENE_FORMAT = {
-    "scene": (lambda _, **fields: Scene((), **fields), {"seed": int, "class_count": int}),
-    "box NAME": (lambda _, **fields: ObjectBox(**fields), {
-        "center": parse_floats, "size": parse_floats, "yaw": float, "velocity": parse_floats,
-        "class_id": int,
-    }),
-}
-
-
-def save_scene(path, scene: Scene) -> None:
-    boxes = [(f"box {i}", box) for i, box in enumerate(scene.boxes)]
-    write_ini(path, [("scene", scene)] + boxes, _SCENE_FORMAT)
-
-
-def load_scene(path) -> Scene:
-    boxes = read_ini(path, _SCENE_FORMAT)
-    head = boxes.pop("scene", None)
-    if head is None:
-        raise ValueError(f"{path}: missing [scene] section")
-    for header, box in boxes.items():
-        if box.class_id >= head.class_count:
-            raise ValueError(f"{path}: [{header}] class_id {box.class_id} >= class_count "
-                             f"{head.class_count}")
-    return Scene(tuple(boxes.values()), head.seed, head.class_count)

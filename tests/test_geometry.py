@@ -5,10 +5,9 @@ import pytest
 
 from bevkit import geometry as geo
 from bevkit import oracles
-from bevkit import scene as sc
 from bevkit.geometry import BEVConfig, CameraParams, DepthBins
 from bevkit.numerics import Tensor
-from bevkit.scene import ObjectBox, PointCloud, Scene
+from bevkit.scene import ObjectBox, PointCloud
 
 
 def random_camera(rng, width=64, height=48):
@@ -224,133 +223,23 @@ class TestCameraValidation:
         with pytest.raises(ValueError):
             CameraParams(-1, 1, 0, 0, 10, 10, rotation=np.eye(3), translation=np.zeros(3))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("fx", float("nan"), "fx, fy, cx and cy must be finite"),
+        ("width", 0, "image size must be at least 1x1, got 0x16"),
+        ("translation", np.array([np.inf, 0.0, 0.0]), "translation must be finite"),
+    ], ids=["fx-nan", "width-0", "translation-inf"])
+    def test_rejects_a_bad_field(self, field, value, message):
+        args = {"fx": 8, "fy": 8, "cx": 8, "cy": 8, "width": 16, "height": 16,
+                "rotation": np.eye(3), "translation": np.zeros(3), field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CameraParams(**args)
 
-def test_rig_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    cams = [random_camera(rng), random_camera(rng)]
-    cams[0] = CameraParams(**{**cams[0].__dict__, "name": "front"})
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, cams)
-    back = geo.load_rig(path)
-    assert len(back) == 2
-    assert back[0].name == "front"
-    for a, b in zip(cams, back):
-        assert (a.fx, a.fy, a.cx, a.cy, a.width, a.height) == (b.fx, b.fy, b.cx, b.cy, b.width, b.height)
-        np.testing.assert_array_equal(a.rotation, b.rotation)
-        np.testing.assert_array_equal(a.translation, b.translation)
-
-
-def _rig_with(tmp_path, key, value):
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
-                                     translation=np.zeros(3), name="front")])
-    text = path.read_text()
-    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
-    path.write_text(text.replace(line, f"{key} = {value}"))
-    return path
-
-
-@pytest.mark.filterwarnings("error")  # an overflow warning is an escape too
-@pytest.mark.parametrize("key, value, message", [
-    ("fx", "nan", "fx, fy, cx and cy must be finite"),
-    ("width", "0", "image size must be at least 1x1, got 0x16"),
-    ("rotation", "1e200 0 0 0 1 0 0 0 1", "rotation must be orthonormal"),
-    ("translation", "inf 0 0", "translation must be finite"),
-])
-def test_rig_file_bad_camera_rejected(tmp_path, key, value, message):
-    path = _rig_with(tmp_path, key, value)
-    with pytest.raises(ValueError, match=rf"rig.txt: \[camera front\] {message}"):
-        geo.load_rig(path)
-
-
-def test_scene_file_is_not_a_rig(tmp_path):
-    path = tmp_path / "scene.txt"
-    sc.save_scene(path, sc.generate_scene(2, geo.desk_bev_config(), seed=3))
-    with pytest.raises(ValueError, match=r"scene.txt: unknown section \[scene\]"):
-        geo.load_rig(path)
-
-
-def test_damaged_camera_header_rejected(tmp_path):
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
-                                     translation=np.zeros(3), name=name)
-                        for name in ("front", "back")])
-    path.write_text(path.read_text().replace("[camera front]", "[damera front]"))
-    with pytest.raises(ValueError, match=r"rig.txt: unknown section \[damera front\]"):
-        geo.load_rig(path)
-
-
-def test_rig_with_no_cameras_rejected(tmp_path):
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [])
-    with pytest.raises(ValueError, match=r"rig.txt: no \[camera \.\.\.\] section"):
-        geo.load_rig(path)
-
-
-def test_rig_file_text_layout(tmp_path):
-    """Floats by repr (an int focal length too), ints as they are, arrays space-separated."""
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [CameraParams(8, 8, 8.5, 8, 16, 12, rotation=np.eye(3),
-                                     translation=np.array([0.0, -1.5, 2.0]), name="front")])
-    assert path.read_text() == (
-        "[camera front]\nfx = 8.0\nfy = 8.0\ncx = 8.5\ncy = 8.0\nwidth = 16\nheight = 12\n"
-        "rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0\ntranslation = 0.0 -1.5 2.0\n"
-    )
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("[camera front]", "[cameras front]", r"unknown section \[cameras front\]"),
-    ("[camera front]", "[camera]", r"unknown section \[camera\]"),
-    ("[camera front]", "[camera ]", r"unknown section \[camera \]"),
-    ("[camera front]", "[DEFAULT]", r"unknown section \[DEFAULT\]"),
-    ("[camera back]", "[camera back] 2", r".*\[line 1[0-9]\]"),  # text after a header
-    ("fx = 8.0\n", "", r"\[camera front\] missing key 'fx'"),
-    ("fx = 8.0\n", "fx = 8.0\nskew = 0.0\n", r"\[camera front\] unknown key 'skew'"),
-    ("width = 16", "width = 16.5", r"\[camera front\] invalid literal for int\(\)"),
-    ("rotation = 1.0 0.0 0.0", "rotation = 1.0 0.0", r"\[camera front\] cannot reshape"),
-])
-def test_rig_section_rule(tmp_path, old, new, message):
-    """A header is exactly "camera NAME" and a section holds exactly the camera keys."""
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
-                                     translation=np.zeros(3), name=name)
-                        for name in ("front", "back")])
-    path.write_text(path.read_text().replace(old, new, 1))
-    with pytest.raises(ValueError, match=rf"rig.txt: {message}"):
-        geo.load_rig(path)
-
-
-@pytest.mark.parametrize("damaged", ["[camera back] 2", "  [camera back]"])
-def test_rig_damaged_header_names_its_own_line(tmp_path, damaged):
-    """A header with text after its "]", or indented, is reported at its own line, not
-    as keys filed under the section before it."""
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3),
-                                     translation=np.zeros(3), name=name)
-                        for name in ("front", "back")])
-    path.write_text(path.read_text().replace("[camera back]", damaged))
-    with pytest.raises(ValueError) as err:
-        geo.load_rig(path)
-    assert str(err.value) == f"{path}: [line 11] damaged section header {damaged!r}"
-    assert "camera front" not in str(err.value)
-
-
-def test_rig_camera_name_is_the_rest_of_the_header(tmp_path):
-    path = tmp_path / "rig.txt"
-    cams = [CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=np.zeros(3),
-                         name=name) for name in ("front left", "back")]
-    geo.save_rig(path, cams)
-    assert [cam.name for cam in geo.load_rig(path)] == ["front left", "back"]
-
-
-def test_a_camera_with_no_name_is_not_saved(tmp_path):
-    """Its header "camera " has no form in the table, so saving it fails by the rule that
-    loading the file would, and writes nothing."""
-    path = tmp_path / "rig.txt"
-    cam = CameraParams(8, 8, 8, 8, 16, 16, rotation=np.eye(3), translation=np.zeros(3), name="")
-    with pytest.raises(ValueError, match=r"rig.txt: unknown section \[camera \]"):
-        geo.save_rig(path, [cam])
-    assert not path.exists()
+    @pytest.mark.filterwarnings("error")  # the |R| <= 1 guard keeps R @ R.T from overflowing
+    def test_rejects_a_huge_rotation_entry_without_overflow(self):
+        R = np.eye(3)
+        R[0, 0] = 1e200
+        with pytest.raises(ValueError, match="^rotation must be orthonormal with det \\+1$"):
+            CameraParams(8, 8, 8, 8, 16, 16, rotation=R, translation=np.zeros(3))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -371,42 +260,6 @@ def test_depth_bins_reject_non_finite_values(field, value):
     args = {"d_min": 0.5, "d_max": 8.5, "count": 16, field: value}
     with pytest.raises(ValueError, match=f"DepthBins: {field} must be finite, got {value}"):
         DepthBins(**args)
-
-
-def test_rig_and_scene_file_text_is_pinned(tmp_path):
-    """Both files are written from the tables that read them: each form's keys in table order,
-    an int-parsed key as it is (a numpy integer too), every other key as repr floats."""
-    turn = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    rig = [
-        CameraParams(0.1, 1 / 3, 32.25, 1e-17, np.int64(64), np.int32(48), rotation=turn,
-                     translation=[0.0, 2e20, -0.3], name="front left"),
-        CameraParams(40, np.int16(40), 32, 24, 64, 48, rotation=np.eye(3),
-                     translation=np.zeros(3), name="back"),
-    ]
-    path = tmp_path / "rig.txt"
-    geo.save_rig(path, rig)
-    assert path.read_text() == (
-        "[camera front left]\n"
-        "fx = 0.1\nfy = 0.3333333333333333\ncx = 32.25\ncy = 1e-17\nwidth = 64\nheight = 48\n"
-        "rotation = 0.0 -1.0 0.0 0.0 0.0 -1.0 1.0 0.0 0.0\ntranslation = 0.0 2e+20 -0.3\n\n"
-        "[camera back]\n"
-        "fx = 40.0\nfy = 40.0\ncx = 32.0\ncy = 24.0\nwidth = 64\nheight = 48\n"
-        "rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0\ntranslation = 0.0 0.0 0.0\n"
-    )
-    boxes = (
-        ObjectBox(center=(-1.1, 2.0, 0.35), size=(2.4, 0.7, 1 / 7), yaw=np.float32(0.5),
-                  velocity=(1e-5, -0.0), class_id=np.int64(2)),
-        ObjectBox(center=(3, 4, 1), size=(1, 2, 2), yaw=-3, velocity=(0, 0), class_id=0),
-    )
-    path = tmp_path / "scene.txt"
-    sc.save_scene(path, Scene(boxes, seed=np.int64(12), class_count=3))
-    assert path.read_text() == (
-        "[scene]\nseed = 12\nclass_count = 3\n\n"
-        "[box 0]\ncenter = -1.1 2.0 0.35\nsize = 2.4 0.7 0.14285714285714285\nyaw = 0.5\n"
-        "velocity = 1e-05 -0.0\nclass_id = 2\n\n"
-        "[box 1]\ncenter = 3.0 4.0 1.0\nsize = 1.0 2.0 2.0\nyaw = -3.0\n"
-        "velocity = 0.0 0.0\nclass_id = 0\n"
-    )
 
 
 @pytest.mark.parametrize("value", [32.5, 32.0, "32", True, np.float64(32)])

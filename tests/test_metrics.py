@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -15,6 +14,27 @@ def rec(x, y, cls=0, score=1.0, size=(1.0, 1.0, 1.0), yaw=0.0, vel=(0.0, 0.0), z
         class_id=cls, score=score, center=np.array([x, y, z]),
         size=np.array(size), yaw=yaw, velocity=np.array(vel),
     )
+
+
+class TestBoxRecord:
+    def test_owns_its_arrays(self):
+        a = np.zeros(3)
+        r = BoxRecord(0, 1.0, a, np.ones(3), 0.0, np.zeros(2))
+        a[0] = 5.0
+        assert r.center.tolist() == [0.0, 0.0, 0.0]
+
+    def test_rows_of_one_array_do_not_alias(self):
+        """decode_detections builds records from rows of one decoded array."""
+        rows = np.arange(6.0).reshape(2, 3)
+        records = [BoxRecord(0, 0.5, row, row, 0.0, row[:2]) for row in rows]
+        rows[:] = -1.0
+        assert [r.center.tolist() for r in records] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert not np.shares_memory(records[0].center, records[0].size)
+
+    def test_arrays_are_float64(self):
+        r = BoxRecord(2, 0.9, [1, 2, 3], (1, 1, 1), 0.25, np.array([1, 0], dtype=np.int32))
+        assert {r.center.dtype, r.size.dtype, r.velocity.dtype} == {np.dtype(np.float64)}
+        assert r.velocity.tolist() == [1.0, 0.0]
 
 
 class TestMatchDetections:
@@ -204,20 +224,6 @@ class TestEvaluate:
         dets = [[rec(1, 1, cls=0, score=0.9)], [rec(4, -4, cls=-1, score=0.8)]]
         with pytest.raises(ValueError, match="scene 1, detection 0: class_id -1 is out of range for 3"):
             mt.evaluate(dets, gts, class_count=3)
-
-
-def test_report_files(tmp_path):
-    gts = [[rec(1, 1, cls=0)]]
-    dets = [[rec(1, 1, cls=0, score=0.9)]]
-    result = mt.evaluate(dets, gts, class_count=2)
-    tsv = tmp_path / "report.tsv"
-    js = tmp_path / "report.json"
-    mt.write_report(tsv, js, result)
-    lines = tsv.read_text().strip().split("\n")
-    assert lines[0].startswith("class\tAP@0.5")
-    assert len(lines) == 3
-    payload = json.loads(js.read_text())
-    assert payload["mAP"] == 1.0 and payload["NDS"] == 1.0
 
 
 class TestAveragePrecisionRecallGrid:

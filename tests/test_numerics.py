@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -390,53 +389,6 @@ class TestConstantOperands:
     def test_constant_shape_must_match_exactly(self, name, op):
         with pytest.raises(DimensionError, match=rf"^{name}: .*\(1, 3\) vs \(3,\)"):
             op(tensor([[1.0, 2.0, 3.0]]), np.zeros(3))
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        t = tensor(rng.normal(size=(3, 4, 2)))
-        path = tmp_path / "t.bkt"
-        nm.save_tensor(path, t)
-        back = nm.load_tensor(path)
-        assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
-
-    def test_scalar_roundtrip(self, tmp_path):
-        t = Tensor(4.5)
-        path = tmp_path / "s.bkt"
-        nm.save_tensor(path, t)
-        assert nm.load_tensor(path).item() == 4.5
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bkt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            nm.load_tensor(path)
-
-    def test_truncated_payload(self, tmp_path):
-        t = tensor(np.ones((2, 2)))
-        path = tmp_path / "t.bkt"
-        nm.save_tensor(path, t)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            nm.load_tensor(path)
-
-    @pytest.mark.parametrize("blob", [b"BKT1\x00", b"BKT1\x02\x00\x00\x00" + b"\x00" * 8])
-    def test_truncated_header(self, blob):
-        with pytest.raises(ValueError, match="<bytes>: truncated tensor header"):
-            nm.tensor_from_bytes(blob)
-
-    @pytest.mark.parametrize("extents", [(2**64 - 1, 0), (2**63, 0), (2**62, 2**62, 0), (0, 2**60)])
-    def test_extents_numpy_cannot_index(self, extents):
-        blob = b"BKT1" + struct.pack("<I", len(extents)) + struct.pack(f"<{len(extents)}Q", *extents)
-        with pytest.raises(ValueError, match="blob.bkt: extents .* too large"):
-            nm.tensor_from_bytes(blob, "blob.bkt")
-
-    def test_largest_empty_extent_loads(self):
-        blob = b"BKT1" + struct.pack("<I", 2) + struct.pack("<2Q", 2**60 - 1, 0)
-        assert nm.tensor_from_bytes(blob).shape == (2**60 - 1, 0)
 
 
 class TestScatterGather:

@@ -1,5 +1,5 @@
-"""Packaging checks: declared entry points resolve, and the oracles and the evaluator
-stay independent."""
+"""Packaging checks: declared entry points resolve, the oracles and the evaluator stay
+independent, and every public name is on a production path."""
 
 import ast
 import dataclasses
@@ -15,6 +15,15 @@ import pytest
 import bevkit
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public names no production path reaches yet, each kept for the client named beside it.
+NOT_YET_REACHED = {
+    "evaluate",  # ROADMAP items 12 and 16: training and the eval set score with it
+    "decode_detections",  # ROADMAP items 12 and 16: the evaluator's rows from the heads
+    "full_scale_bev_config",  # ROADMAP item 5: full scale runs or is rejected up front
+    "full_scale_voxel_config",  # ROADMAP item 5
+}
 
 
 def test_every_declared_script_resolves_to_a_callable():
@@ -198,3 +207,54 @@ def test_no_two_params_dataclasses_share_a_field_list():
                 owners.setdefault(fields, set()).add(obj)
     shared = {names: sorted(map(str, cls)) for names, cls in owners.items() if len(cls) > 1}
     assert shared == {}
+
+
+def _references(node):
+    """Every name a node's code mentions, as a bare name or as an attribute."""
+    return {
+        getattr(sub, "id", getattr(sub, "attr", None))
+        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _definitions(tree):
+    """(name, node) of each module-level def, class and assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def test_every_public_name_is_on_a_production_path():
+    """The benchmark's pipeline is the production path. A definition is live if a benchmark
+    module or a live definition references it, and names only an allow-listed definition
+    uses are kept with it. A public name neither live nor kept has no caller but tests; an
+    allow-listed name that has become live leaves the list."""
+    refs = {}
+    for path in sorted(Path(bevkit.__file__).parent.glob("*.py")):
+        if path.name not in ("oracles.py", "__init__.py"):
+            for name, node in _definitions(ast.parse(path.read_text())):
+                refs.setdefault(name, set()).update(_references(node))
+
+    def reach(frontier):
+        found = set()
+        while frontier:
+            new = (frontier & refs.keys()) - found
+            found |= new
+            frontier = set().union(*(refs[name] for name in new))
+        return found
+
+    bench = [path for path in sorted(PERFBENCH.glob("*.py")) if not path.name.startswith("test_")]
+    assert bench, f"no benchmark modules under {PERFBENCH}"
+    live = reach(set().union(*(_references(ast.parse(path.read_text())) for path in bench)))
+    kept = reach(live | NOT_YET_REACHED)
+    orphans = sorted(name for name in refs.keys() - kept if not name.startswith("_"))
+    assert orphans == [], f"public names with no production caller: {orphans}"
+    reached = sorted(NOT_YET_REACHED & live)
+    assert reached == [], f"now on a production path, take off NOT_YET_REACHED: {reached}"
+    assert NOT_YET_REACHED <= refs.keys()

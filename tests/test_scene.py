@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -65,6 +66,35 @@ class TestGenerateScene:
         b = sc.generate_scene(3, DESK, class_count=4, seed=1)
         assert a.class_count == 4
         assert [box.class_id for box in a.boxes] == [box.class_id for box in b.boxes]
+
+    # sha256 over every field of every box of generate_scene(n, DESK, 10, seed) for seeds
+    # 0..199; a change to the draw order or the rejection rule changes it.
+    BOX_DIGESTS = {
+        8: "c41920f945263980abf1f15a5eb15abd69987a7899cfde3e4cf5d8a55838613e",
+        16: "78010ddda8f220c98d0acf597e385e2d9f71b46cf6efd8ab2653735294aac2dc",
+    }
+
+    @pytest.mark.parametrize("num_boxes", sorted(BOX_DIGESTS))
+    def test_boxes_are_bit_identical_on_200_seeds(self, num_boxes):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            for b in sc.generate_scene(num_boxes, DESK, class_count=10, seed=seed).boxes:
+                for field in (b.center, b.size, np.float64(b.yaw), b.velocity, np.int64(b.class_id)):
+                    digest.update(np.asarray(field).tobytes())
+        assert digest.hexdigest() == self.BOX_DIGESTS[num_boxes]
+
+    def test_only_kept_boxes_are_built(self, monkeypatch):
+        """A rejected attempt is judged on its footprint; no ObjectBox is built for it."""
+        built = []
+
+        def build(*args):
+            built.append(ObjectBox(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sc, "ObjectBox", build)
+        scene = sc.generate_scene(16, DESK, seed=4)
+        assert len(built) == len(scene.boxes) == 16
+        assert all(a is b for a, b in zip(built, scene.boxes))
 
     def test_deterministic(self):
         a = sc.generate_scene(5, DESK, seed=7)
@@ -759,19 +789,6 @@ class TestLidarScanInput:
             sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], 16, elevations)
 
 
-def test_scene_file_roundtrip(tmp_path):
-    scene = sc.generate_scene(4, DESK, class_count=6, seed=13)
-    path = tmp_path / "scene.txt"
-    sc.save_scene(path, scene)
-    back = sc.load_scene(path)
-    assert back.seed == 13 and back.class_count == 6
-    assert len(back.boxes) == 4
-    for a, b in zip(scene.boxes, back.boxes):
-        np.testing.assert_array_equal(a.center, b.center)
-        np.testing.assert_array_equal(a.size, b.size)
-        assert a.yaw == b.yaw and a.class_id == b.class_id
-
-
 class TestBoxValidation:
     @pytest.mark.parametrize(
         "field, value",
@@ -787,115 +804,11 @@ class TestBoxValidation:
         with pytest.raises(ValueError, match="finite"):
             box(**kwargs)
 
-    def scene_text(self, tmp_path, **edits):
-        path = tmp_path / "scene.txt"
-        sc.save_scene(path, Scene(boxes=(box((1.0, 2.0, 0.5), cls=3),), seed=0, class_count=10))
-        text = path.read_text()
-        for key, value in edits.items():
-            line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
-            text = text.replace(line, f"{key} = {value}")
-        path.write_text(text)
-        return path
-
-    def test_class_id_at_class_count_rejected(self, tmp_path):
-        path = self.scene_text(tmp_path, class_id=12)
-        with pytest.raises(ValueError, match=r"\[box 0\] class_id 12 >= class_count 10"):
-            sc.load_scene(path)
-
-    def test_nan_center_in_file_names_section(self, tmp_path):
-        path = self.scene_text(tmp_path, center="nan 2.0 0.5")
-        with pytest.raises(ValueError, match=r"\[box 0\] .*finite"):
-            sc.load_scene(path)
-
-    def test_bad_seed_names_file_and_section(self, tmp_path):
-        path = self.scene_text(tmp_path, seed="abc")
-        with pytest.raises(ValueError, match=r"scene\.txt: \[scene\] invalid literal .*'abc'"):
-            sc.load_scene(path)
-
-    @pytest.mark.parametrize("class_count", [0, -3])
-    def test_class_count_below_one_names_file_and_section(self, tmp_path, class_count):
-        # with class_count -3 the header is at fault, not box 0's class_id 3
-        path = self.scene_text(tmp_path, class_count=class_count)
+    @pytest.mark.parametrize("class_id", [4, 12])
+    def test_scene_rejects_a_class_id_past_class_count(self, class_id):
+        boxes = (box((1.0, 2.0, 0.5), cls=3), box((-3.0, 2.0, 0.5), cls=class_id))
         with pytest.raises(
-            ValueError,
-            match=rf"scene\.txt: \[scene\] class_count must be >= 1, got {class_count}$",
+            ValueError, match=f"^Scene: box 1 has class_id {class_id} >= class_count 4$"
         ):
-            sc.load_scene(path)
-
-    def test_valid_file_still_loads(self, tmp_path):
-        back = sc.load_scene(self.scene_text(tmp_path, class_id=9))
-        assert back.boxes[0].class_id == 9
-
-
-def test_scene_file_text_layout(tmp_path):
-    """A [scene] section, then one [box i] section per box, each followed by a blank line."""
-    boxes = (
-        ObjectBox(center=(1.0, -2.5, 0.5), size=(2.0, 1.0, 1.0), yaw=0.25,
-                  velocity=(0.5, 0.0), class_id=3),
-        ObjectBox(center=(0.0, 3.0, 0.75), size=(1.5, 1.25, 1.5), yaw=0,
-                  velocity=(0, -1), class_id=1),
-    )
-    path = tmp_path / "scene.txt"
-    sc.save_scene(path, Scene(boxes, seed=7, class_count=4))
-    assert path.read_text() == (
-        "[scene]\nseed = 7\nclass_count = 4\n\n"
-        "[box 0]\ncenter = 1.0 -2.5 0.5\nsize = 2.0 1.0 1.0\nyaw = 0.25\n"
-        "velocity = 0.5 0.0\nclass_id = 3\n\n"
-        "[box 1]\ncenter = 0.0 3.0 0.75\nsize = 1.5 1.25 1.5\nyaw = 0.0\n"
-        "velocity = 0.0 -1.0\nclass_id = 1\n"
-    )
-
-
-class TestSceneSectionRule:
-    """A header is exactly "scene" or "box NAME", and a section holds exactly its kind's keys."""
-
-    def write(self, tmp_path, old, new):
-        path = tmp_path / "scene.txt"
-        sc.save_scene(path, sc.generate_scene(2, DESK, seed=3))
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-        return path
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("[box 1]", "[bx 1]", r"unknown section \[bx 1\]"),
-        ("[box 1]", "[box]", r"unknown section \[box\]"),
-        ("[scene]", "[scene 0]", r"unknown section \[scene 0\]"),
-        ("[scene]", "[DEFAULT]", r"unknown section \[DEFAULT\]"),
-        ("seed = 3\n", "", r"\[scene\] missing key 'seed'"),
-        ("class_count = 10\n", "", r"\[scene\] missing key 'class_count'"),
-        ("class_id", "colour = red\nclass_id", r"\[box 0\] unknown key 'colour'"),
-        ("velocity = ", "# velocity = ", r"\[box 0\] missing key 'velocity'"),
-        ("yaw", "spin", r"\[box 0\] unknown key 'spin'"),
-    ])
-    def test_rejected(self, tmp_path, old, new, message):
-        path = self.write(tmp_path, old, new)
-        with pytest.raises(ValueError, match=rf"scene\.txt: {message}"):
-            sc.load_scene(path)
-
-    def test_damaged_header_names_its_own_line(self, tmp_path):
-        """Text after a header's "]" is reported at that header, not under the box before."""
-        path = self.write(tmp_path, "[box 1]", "[box 1] x")
-        with pytest.raises(ValueError) as err:
-            sc.load_scene(path)
-        assert str(err.value) == f"{path}: [line 12] damaged section header '[box 1] x'"
-        assert "box 0" not in str(err.value)
-
-    def test_missing_scene_section(self, tmp_path):
-        path = tmp_path / "scene.txt"
-        sc.save_scene(path, sc.generate_scene(2, DESK, seed=3))
-        path.write_text(path.read_text().split("\n\n", 1)[1])
-        with pytest.raises(ValueError, match=r"scene\.txt: missing \[scene\] section"):
-            sc.load_scene(path)
-
-    def test_section_order_is_free(self, tmp_path):
-        scene = sc.generate_scene(3, DESK, class_count=4, seed=5)
-        path = tmp_path / "scene.txt"
-        sc.save_scene(path, scene)
-        head, *boxes = path.read_text().split("\n\n")
-        path.write_text("\n\n".join(boxes[::-1] + [head]) + "\n")
-        back = sc.load_scene(path)
-        assert (back.seed, back.class_count) == (5, 4)
-        for a, b in zip(scene.boxes[::-1], back.boxes):
-            np.testing.assert_array_equal(a.center, b.center)
-            assert a.yaw == b.yaw and a.class_id == b.class_id
+            Scene(boxes, seed=0, class_count=4)
+        assert Scene(boxes, seed=0, class_count=class_id + 1).boxes is boxes
