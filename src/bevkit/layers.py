@@ -1,10 +1,11 @@
 """Composed blocks built from the numerics primitives.
 
 conv2d is one tape op: im2col over a strided window view of the zero-padded
-input, one affine map, and a VJP that adds the patch gradients back with
-k*k strided slice adds (col2im). Its node keeps the padded input, not the
-k*k times larger patch matrix: the VJP rebuilds the patches from it with the
-same window view and copy, so the weight gradient's GEMM reads the same bits.
+input and one affine map. Its VJP takes the input gradient as a transposed
+conv, im2col of the stride-dilated, padded output gradient times the flipped
+kernel. Its node keeps the padded input, not the k*k times larger patch
+matrix: the VJP rebuilds the patches from it with the same window view and
+copy, so the weight gradient's GEMM reads the same bits.
 conv_block_at gives conv_block's output at a few cells, computing both convs
 only on those cells' receptive field. Every other block is a composition of
 numerics ops, so all of them share one tape with the rest of the model.
@@ -57,6 +58,8 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
     which is about k*k times larger at stride 1. The VJP rebuilds the patches
     with _patches, which copies the same elements into the same order, so
     the weight gradient's GEMM reads the same bits as the forward's did.
+    The input gradient, a transposed conv (see the module docstring), matches
+    a patch scatter to rounding.
     """
     const = not isinstance(x, Tensor)
     data = np.asarray(x, dtype=np.float64) if const else x.data
@@ -79,14 +82,13 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
         params = (g2.T @ _patches(padded, k, s), g2.sum(axis=0))
         if const:
             return params
-        cols = (g2 @ W).reshape(oh, ow, k, k, c)
-        grad = np.zeros((hp, wp, c))
-        # A padded pixel's terms arrive in (oy, ox) order, i.e. ky and kx
-        # descending: the summation order of a sequential patch scatter.
-        for ky in reversed(range(k)):
-            for kx in reversed(range(k)):
-                grad[ky : ky + s * oh : s, kx : kx + s * ow : s] += cols[:, :, ky, kx]
-        return (grad[pad : pad + h, pad : pad + w],) + params
+        # Padded pixel i gets g[oy] W[i - s*oy]: g sits at k - 1 + s*oy, and
+        # the input rows are the windows that start at pad .. pad + h - 1.
+        dilated = np.zeros((hp + k - 1, wp + k - 1, g2.shape[1]))
+        dilated[k - 1 : k - 1 + s * oh : s, k - 1 : k - 1 + s * ow : s] = g2.reshape(oh, ow, -1)
+        window = dilated[pad : pad + h + k - 1, pad : pad + w + k - 1]
+        flipped = W.reshape(-1, k, k, c)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(-1, c)
+        return ((_patches(window, k, 1) @ flipped).reshape(h, w, c),) + params
 
     out = (_patches(padded, k, s) @ W.T + b).reshape(oh, ow, -1)
     inputs = (p.lin.weight, p.lin.bias) if const else (x, p.lin.weight, p.lin.bias)

@@ -37,8 +37,11 @@ class BoxRecord:
 
     def __post_init__(self):
         # A record owns its arrays: later writes to the caller's arrays do not reach it.
-        for name in ("center", "size", "velocity"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+        for name, length in (("center", 3), ("size", 3), ("velocity", 2)):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.shape != (length,):
+                raise ValueError(f"BoxRecord: {name} must have shape ({length},), got {arr.shape}")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_object_box(cls, box):

@@ -18,10 +18,11 @@ Both streams are exactly linear in their feature inputs, which the loop
 oracles in the check suite exploit.
 
 Each stream records one tape node with a hand-written VJP, as conv2d does,
-so no [samples, C] intermediate is copied, kept on the tape or wrapped in
-backward. Both sum in the order of the equivalent composition of
-gather_rows, row scaling and scatter_add (samples in index order per cell,
-cameras in list order), so outputs and gradients are bit-identical to it.
+so no intermediate is wrapped in backward. Both forwards sum in the order of
+the equivalent composition of gather_rows, row scaling and scatter_add
+(samples in index order per cell, cameras in list order), so their outputs
+are bit-identical to it. point_stream's VJP is too; ray_stream's VJP is two
+contractions over the (pixel, bin) grid and matches the chain to rounding.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def depth_net(lr_feat: Tensor, cam: CameraParams, params: DepthNetParams):
         [cam.fx / cam.width, cam.fy / cam.height, cam.cx / cam.width, cam.cy / cam.height]
     )
     emb = nm.linear(intr.reshape(1, 4), params.cam_embed)
-    ones = Tensor(np.ones((hp * wp, 1)))
-    tiled = nm.matmul(ones, emb)
+    tiled = nm.gather_rows(emb, np.zeros(hp * wp, dtype=np.int64))
     rows = nm.concat([nm.reshape(lr_feat, (hp * wp, cf)), tiled], axis=1)
     context = nm.reshape(nm.linear(rows, params.context), (hp, wp, params.context.out_dim))
     logits = nm.linear(rows, params.depth)
@@ -217,8 +217,11 @@ def ray_stream(
     drop their mass.
 
     One tape node; its inputs are (context, distribution) per camera. Kept
-    samples sum per cell in sample order and the cameras in list order,
-    which keeps the results bit-identical (see the module docstring).
+    samples sum per cell in sample order and the cameras in list order, so
+    the output is bit-identical to the op chain (see the module docstring).
+    Per camera the node keeps the context rows, the distribution and each
+    sample's cell, n*n (a zero gradient row) for a dropped one; the VJP
+    contracts the gradient gathered at the cells with the distribution and the rows.
     """
     _check_camera_lists("ray_stream", contexts=contexts, distributions=dists, cameras=cams)
     _check_channels("ray_stream", "context", contexts, cams)
@@ -238,33 +241,27 @@ def ray_stream(
     n = bev_cfg.n
     c_t = contexts[0].shape[2]
     centers = bins.centers()
-    maps = []  # per camera: (context rows, kept samples, their pixels, cells, weights)
+    maps = []  # per camera: context rows [P, C], distribution [P, D], cells [P, D]
     total = None
     for ctx, dist, cam in zip(contexts, dists, cams):
         hp, wp, d = dist.shape
         uv = _feature_pixel_rays(hp, wp, cam.width // wp)
         world = unproject_points(np.repeat(uv, d, axis=0), np.tile(centers, hp * wp), cam)
         gx, gy, ok = bev_indices(world[:, :2], bev_cfg)
+        cells = np.where(ok, gx * n + gy, n * n)  # n * n: the discard row
         keep = np.flatnonzero(ok)
-        pix = keep // d
-        cells = gx[keep] * n + gy[keep]
-        rows = ctx.data.reshape(hp * wp, c_t)
-        w = dist.data.reshape(hp * wp * d)[keep]
-        contrib = nm._segment_sum(rows[pix] * w[:, None], cells, n * n)
+        rows, w = ctx.data.reshape(hp * wp, c_t), dist.data.reshape(hp * wp, d)
+        contrib = nm._segment_sum(rows[keep // d] * w.ravel()[keep, None], cells[keep], n * n)
         total = contrib if total is None else total + contrib
-        maps.append((rows, keep, pix, cells, w))
+        maps.append((rows, w, cells.reshape(hp * wp, d)))
 
     def vjp(g):
-        g = g.reshape(n * n, c_t)
+        g = np.concatenate([g.reshape(n * n, c_t), np.zeros((1, c_t))])
         grads = []
-        for (rows, keep, pix, cells, w), ctx, dist in zip(maps, contexts, dists):
-            g_kept = g[cells]
-            d_ctx = nm._segment_sum(g_kept * w[:, None], pix, rows.shape[0])
-            # The channel sum runs over every sample, zero rows included: the
-            # same matmul on the kept rows alone can round differently.
-            g_w = np.zeros((dist.size, c_t))
-            g_w[keep] = g_kept * rows[pix]
-            grads += [d_ctx.reshape(ctx.shape), (g_w @ np.ones((c_t, 1))).reshape(dist.shape)]
+        for (rows, w, cells), ctx, dist in zip(maps, contexts, dists):
+            gs = np.take(g, cells, axis=0)  # [P, D, C]
+            grads += [np.einsum("pd,pdc->pc", w, gs).reshape(ctx.shape),
+                      np.einsum("pdc,pc->pd", gs, rows).reshape(dist.shape)]
         return tuple(grads)
 
     inputs = tuple(t for pair in zip(contexts, dists) for t in pair)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,21 @@ class TestBoxRecord:
         r = BoxRecord(2, 0.9, [1, 2, 3], (1, 1, 1), 0.25, np.array([1, 0], dtype=np.int32))
         assert {r.center.dtype, r.size.dtype, r.velocity.dtype} == {np.dtype(np.float64)}
         assert r.velocity.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", [1.0, 2.0]),
+        ("size", [2.0, 1.0]),
+        ("size", [[1.0, 1.0, 1.0]]),
+        ("velocity", [0.0]),
+        ("velocity", 0.0),
+    ])
+    def test_wrong_shape_names_the_field(self, field, value):
+        """A 2-element center and size once scored mAP 1.0; a 1-element velocity failed in hypot."""
+        fields = dict(center=np.zeros(3), size=np.ones(3), velocity=np.zeros(2))
+        fields[field] = value
+        message = rf"BoxRecord: {field} must have shape .*, got {re.escape(str(np.shape(value)))}"
+        with pytest.raises(ValueError, match=message):
+            BoxRecord(0, 1.0, fields["center"], fields["size"], 0.0, fields["velocity"])
 
 
 class TestMatchDetections:

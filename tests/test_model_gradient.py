@@ -94,6 +94,17 @@ def test_whole_model_gradient(name, seed):
     assert check_failures(name, seed) == []
 
 
+@pytest.mark.parametrize("name", ["train_fixed_rig", "train_aug_rig"])
+def test_only_parameters_get_gradients(name):
+    """Every leaf of a training tape is a parameter: no constant is wrapped as a Tensor."""
+    wl = workloads.WORKLOADS[name]
+    params = pipeline.init_params(np.random.default_rng(1), wl.voxel.counts[2], wl.bins.count)
+    sample = workloads.simulate(wl, 1, workloads.STEP_STREAM, 0)
+    ids = {t.id for t in _leaves(params)}
+    assert len(ids) == 99
+    assert set(pipeline.train_step(params, sample, wl).tape.gradients) == ids
+
+
 @pytest.mark.parametrize("op", ["conv2d", "ray_stream", "point_stream"])
 def test_a_vjp_off_by_a_thousandth_fails_the_check(monkeypatch, op):
     emit = nm._emit

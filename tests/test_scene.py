@@ -41,7 +41,7 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize("class_count", [2.5, 2.0, "2", True])
     def test_non_integer_class_count_rejected_before_any_draw(self, class_count, monkeypatch):
-        """class_count 2.5 used to give a scene whose saved file did not load."""
+        """numpy would draw class ids below 2.5 as if the count were 2; the check runs first."""
         monkeypatch.setattr(np.random, "default_rng", lambda *_: pytest.fail("drew first"))
         expected = f"Scene: class_count must be an integer, not {type(class_count).__name__}"
         with pytest.raises(ValueError, match=expected):
@@ -50,7 +50,7 @@ class TestGenerateScene:
     @pytest.mark.parametrize("field", ["seed", "class_count"])
     @pytest.mark.parametrize("value", [2.5, np.float64(3), "2"])
     def test_scene_with_a_non_integer_field_rejected(self, field, value):
-        """A seed of 1.5 used to be saved as "seed = 1.5", a file that does not load."""
+        """A scene is re-simulated from its seed, and numpy seeds only from integers."""
         kind = type(value).__name__
         with pytest.raises(ValueError, match=f"Scene: {field} must be an integer, not {kind}"):
             Scene(**{"boxes": (), "seed": 0, "class_count": 3, field: value})

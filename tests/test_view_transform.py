@@ -146,9 +146,8 @@ class TestDepthNet:
         produced = {n.output_id for n in tape.nodes}
         leaves = {i for n in tape.nodes for i in n.input_ids} - produced
         params = {t.id for lin in (p.cam_embed, p.context, p.depth) for t in (lin.weight, lin.bias)}
-        (tiling,) = leaves - params - {feat.id}
-        assert [n.input_ids[0] for n in tape.nodes if n.op == "matmul"] == [tiling]
-        assert params <= leaves
+        assert leaves == params | {feat.id}
+        assert "matmul" not in [n.op for n in tape.nodes]
 
 
 BINS = DepthBins(1.0, 5.0, 4)
@@ -580,6 +579,22 @@ def output_and_grads(stream, inputs, weight):
 BEV_CROPPED = BEVConfig(-1.0, 6.0, -2.0, 5.0, 7)
 
 
+def detector_scale_inputs(seed):
+    """Two 64x64 cameras, 16 context channels, 16 bins, 32x32 desk BEV:
+    (bev, bins, cams, [context, distribution] Tensors per camera, output weight)."""
+    from bevkit.geometry import desk_bev_config, desk_depth_bins
+
+    bev, bins, cams = desk_bev_config(), desk_depth_bins(), sc.default_rig(64, 64)
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for _ in cams:
+        logits = rng.normal(size=(32, 32, bins.count))
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        dist = e / e.sum(axis=2, keepdims=True)
+        inputs += [Tensor(rng.normal(size=(32, 32, 16))), Tensor(dist)]
+    return bev, bins, cams, inputs, rng.normal(size=(bev.n, bev.n, 16))
+
+
 class TestRayStreamIsTheOpChain:
     @pytest.mark.parametrize("n_cams", [1, 2])
     def test_output_and_gradients_bit_identical(self, n_cams):
@@ -602,25 +617,14 @@ class TestRayStreamIsTheOpChain:
         assert np.array_equal(out, out_ref)
         assert np.any(out != 0)
         for g, g_ref in zip(grads, grads_ref):
-            assert np.array_equal(g, g_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             assert np.any(g != 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_at_detector_scale(self, seed):
-        # Two 64x64 cameras, 16 context channels, 16 bins, 32x32 desk BEV. At
-        # this size the distribution gradient's channel sum, run as a matmul
-        # over the kept samples alone, rounds 1-2 entries differently.
-        from bevkit.geometry import desk_bev_config, desk_depth_bins
-
-        bev, bins, cams = desk_bev_config(), desk_depth_bins(), sc.default_rig(64, 64)
-        rng = np.random.default_rng(seed)
-        inputs = []
-        for _ in cams:
-            logits = rng.normal(size=(32, 32, bins.count))
-            e = np.exp(logits - logits.max(axis=2, keepdims=True))
-            dist = e / e.sum(axis=2, keepdims=True)
-            inputs += [Tensor(rng.normal(size=(32, 32, 16))), Tensor(dist)]
-        weight = rng.normal(size=(bev.n, bev.n, 16))
+        # The output is bit-identical; the VJP's two contractions sum in another
+        # order than the chain's scatters, so the gradients match to rounding.
+        bev, bins, cams, inputs, weight = detector_scale_inputs(seed)
         out, grads, _ = output_and_grads(
             lambda ts: vt.ray_stream(ts[0::2], ts[1::2], cams, bins, bev), inputs, weight
         )
@@ -629,7 +633,7 @@ class TestRayStreamIsTheOpChain:
         )
         assert np.array_equal(out, out_ref)
         for g, g_ref in zip(grads, grads_ref):
-            assert np.array_equal(g, g_ref)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
     @pytest.mark.parametrize("which", ["context", "distribution"])
     def test_gradient_matches_finite_differences(self, which):
@@ -654,6 +658,38 @@ class TestRayStreamIsTheOpChain:
         with pytest.raises(nm.DimensionError, match=message):
             vt.ray_stream([Tensor(c) for c in ctxs], [Tensor(d) for d in dists],
                           cams, BINS8, BEV16)
+
+
+def assert_adjoint(oracle_out, weight, inputs, grads):
+    """<B(ctx, dist), r> = <ctx, g_ctx> = <dist, g_dist>, summed over cameras: the ray
+    scatter B is linear in the contexts and in the distributions, each alone."""
+    forward = np.vdot(oracle_out, weight)
+    for part in (slice(0, None, 2), slice(1, None, 2)):
+        back = sum(np.vdot(t.data, g) for t, g in zip(inputs[part], grads[part]))
+        assert abs(back - forward) <= 1e-12 * abs(forward)
+
+
+class TestRayStreamVjpIsTheOracleAdjoint:
+    @pytest.mark.parametrize("n_cams", [1, 2])
+    def test_small_rig(self, n_cams):
+        rng = np.random.default_rng(40 + n_cams)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=n_cams)
+        inputs = [Tensor(a) for pair in zip(ctxs, dists) for a in pair]
+        weight = rng.normal(size=(7, 7, 3))
+        _, grads, _ = output_and_grads(
+            lambda ts: vt.ray_stream(ts[0::2], ts[1::2], cams, BINS8, BEV_CROPPED), inputs, weight
+        )
+        oracle_out = oracles.ray_stream_oracle(ctxs, dists, cams, BINS8, BEV_CROPPED)
+        assert_adjoint(oracle_out, weight, inputs, grads)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_detector_scale(self, seed):
+        bev, bins, cams, inputs, weight = detector_scale_inputs(seed)
+        _, grads, _ = output_and_grads(
+            lambda ts: vt.ray_stream(ts[0::2], ts[1::2], cams, bins, bev), inputs, weight
+        )
+        ctxs, dists = [t.data for t in inputs[0::2]], [t.data for t in inputs[1::2]]
+        assert_adjoint(oracles.ray_stream_oracle(ctxs, dists, cams, bins, bev), weight, inputs, grads)
 
 
 class TestPointStreamIsTheOpChain:
