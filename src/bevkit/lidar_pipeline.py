@@ -17,8 +17,8 @@ in turn order only the runs of rows still tied in every key before them: a
 quicksort of those rows by the column, then a stable sort by run number,
 which keeps each run in its place. On a LiDAR sweep about 30% of the points
 tie in (voxel, x) (vertical box faces) and about 20% also in y (one beam
-column on a face); none tie in z. The sums are one bincount per column over
-the rows in that order.
+column on a face); none tie in z. The sums are numerics._column_sums over
+the rows in that order, one bincount per column.
 
 The voxel encoder is layers.ffn, a shared two-layer perceptron applied to
 each occupied voxel's mean point feature; empty voxels stay zero. Compression
@@ -133,8 +133,7 @@ def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
     pts = np.take(pts, rows, axis=0)  # take: ~4x faster than fancy row indexing
     voxel = np.cumsum(starts) - 1
     counts = np.bincount(voxel)
-    # Each bin starts at 0.0 and adds its points one at a time in that order.
-    sums = np.stack([np.bincount(voxel, weights=c, minlength=len(counts)) for c in pts.T], axis=1)
+    sums = nm._column_sums(voxel, pts.T, len(counts))
     occupied = np.stack(np.unravel_index(flat[starts], (X, Y, Z)), axis=1)
     return VoxelGrid(cfg=cfg, occupied=occupied, means=sums / counts[:, None], counts=counts)
 

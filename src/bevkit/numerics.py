@@ -331,6 +331,22 @@ def _segment_sum(vals: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape((rows,) + vals.shape[1:])
 
 
+def _column_sums(idx: np.ndarray, columns, rows: int) -> np.ndarray:
+    """Float64 [rows, J] over J columns: column j is
+    np.bincount(idx, weights=columns[j], minlength=rows).
+
+    Each entry starts at 0.0 and adds its terms one at a time in ascending
+    position in idx (np.bincount walks its input in order), so a caller that
+    puts its samples in a fixed order fixes every sum bit for bit. columns is
+    any iterable of 1-D weights as long as idx, a generator included, so a
+    caller can build one weighted column at a time.
+    """
+    sums = [np.bincount(idx, weights=col, minlength=rows) for col in columns]
+    if not sums:
+        return np.zeros((rows, 0))
+    return np.stack(sums, axis=1).astype(np.float64, copy=False)  # bincount: int64 if idx is empty
+
+
 def scatter_add(values: Tensor, idx, num_rows: int) -> Tensor:
     """Accumulate value rows into a fresh [num_rows, ...] array at idx.
 

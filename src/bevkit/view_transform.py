@@ -21,8 +21,11 @@ Each stream records one tape node with a hand-written VJP, as conv2d does,
 so no intermediate is wrapped in backward. Both forwards sum in the order of
 the equivalent composition of gather_rows, row scaling and scatter_add
 (samples in index order per cell, cameras in list order), so their outputs
-are bit-identical to it. point_stream's VJP is too; ray_stream's VJP is two
-contractions over the (pixel, bin) grid and matches the chain to rounding.
+are bit-identical to it. point_stream's VJP is too. ray_stream works one
+context channel at a time in both directions, so it never holds an array of
+samples x channels: its forward sums each channel's products per cell
+(numerics._column_sums), and its VJP contracts each channel's gathered
+gradient over the (pixel, bin) grid, which matches the chain to rounding.
 """
 
 from __future__ import annotations
@@ -216,12 +219,16 @@ def ray_stream(
     times its probability for that bin is added there. Out-of-range samples
     drop their mass.
 
-    One tape node; its inputs are (context, distribution) per camera. Kept
-    samples sum per cell in sample order and the cameras in list order, so
-    the output is bit-identical to the op chain (see the module docstring).
-    Per camera the node keeps the context rows, the distribution and each
-    sample's cell, n*n (a zero gradient row) for a dropped one; the VJP
-    contracts the gradient gathered at the cells with the distribution and the rows.
+    One tape node; its inputs are (context, distribution) per camera. For
+    each context channel the kept samples' products sum per cell in sample
+    order, and the cameras add in list order, so the output is bit-identical
+    to the op chain (see the module docstring). Per camera the node keeps the
+    context, the distribution and each sample's cell (n*n, a zero gradient,
+    for a dropped one), transposed to [C, P], [D, P] and [D, P]. Per channel
+    the VJP gathers the output gradient at the cells, [D, P], and contracts it
+    with the distribution into that channel's context gradient and with the
+    channel's context into the distribution gradient, so the gradients match
+    the chain to rounding.
     """
     _check_camera_lists("ray_stream", contexts=contexts, distributions=dists, cameras=cams)
     _check_channels("ray_stream", "context", contexts, cams)
@@ -241,7 +248,7 @@ def ray_stream(
     n = bev_cfg.n
     c_t = contexts[0].shape[2]
     centers = bins.centers()
-    maps = []  # per camera: context rows [P, C], distribution [P, D], cells [P, D]
+    maps = []  # per camera, transposed for contiguous per-channel passes: [C, P], [D, P], [D, P]
     total = None
     for ctx, dist, cam in zip(contexts, dists, cams):
         hp, wp, d = dist.shape
@@ -250,18 +257,26 @@ def ray_stream(
         gx, gy, ok = bev_indices(world[:, :2], bev_cfg)
         cells = np.where(ok, gx * n + gy, n * n)  # n * n: the discard row
         keep = np.flatnonzero(ok)
-        rows, w = ctx.data.reshape(hp * wp, c_t), dist.data.reshape(hp * wp, d)
-        contrib = nm._segment_sum(rows[keep // d] * w.ravel()[keep, None], cells[keep], n * n)
+        rows_t = np.ascontiguousarray(ctx.data.reshape(hp * wp, c_t).T)
+        pix, wk = keep // d, np.take(dist.data, keep)
+        products = (np.take(rows_t[j], pix) * wk for j in range(c_t))
+        contrib = nm._column_sums(np.take(cells, keep), products, n * n)
         total = contrib if total is None else total + contrib
-        maps.append((rows, w, cells.reshape(hp * wp, d)))
+        w_t, cells_t = (a.reshape(hp * wp, d).T.copy() for a in (dist.data, cells))
+        maps.append((rows_t, w_t, cells_t))
 
     def vjp(g):
-        g = np.concatenate([g.reshape(n * n, c_t), np.zeros((1, c_t))])
+        g_t = np.zeros((c_t, n * n + 1))  # column n * n: the discard row's zero gradient
+        g_t[:, : n * n] = g.reshape(n * n, c_t).T
         grads = []
-        for (rows, w, cells), ctx, dist in zip(maps, contexts, dists):
-            gs = np.take(g, cells, axis=0)  # [P, D, C]
-            grads += [np.einsum("pd,pdc->pc", w, gs).reshape(ctx.shape),
-                      np.einsum("pdc,pc->pd", gs, rows).reshape(dist.shape)]
+        for (rows_t, w_t, cells_t), ctx, dist in zip(maps, contexts, dists):
+            g_ctx, g_dist = np.empty(rows_t.shape), np.zeros(w_t.shape)
+            for j in range(c_t):
+                gj = np.take(g_t[j], cells_t)  # [D, P]
+                np.einsum("dp,dp->p", w_t, gj, out=g_ctx[j])
+                gj *= rows_t[j]
+                g_dist += gj
+            grads += [g_ctx.T.reshape(ctx.shape), g_dist.T.reshape(dist.shape)]
         return tuple(grads)
 
     inputs = tuple(t for pair in zip(contexts, dists) for t in pair)

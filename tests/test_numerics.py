@@ -422,6 +422,31 @@ class TestScatterGather:
                                       [[2.0], [5.0]])
 
 
+class TestColumnSums:
+    def test_each_column_is_one_bincount_in_sample_order(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 7, size=40)
+        cols = rng.normal(size=(3, 40)) * 10.0 ** rng.integers(-8, 8, size=(3, 40))
+        out = nm._column_sums(idx, (c for c in cols), 9)
+        assert out.shape == (9, 3) and out.dtype == np.float64
+        for j, col in enumerate(cols):
+            assert np.array_equal(out[:, j], np.bincount(idx, weights=col, minlength=9))
+        for r in range(7):  # one term at a time from 0.0, in ascending position
+            expected = 0.0
+            for i in np.flatnonzero(idx == r):
+                expected += cols[1, i]
+            assert out[r, 1] == expected
+
+    def test_an_empty_index_gives_float64_zeros(self):
+        out = nm._column_sums(np.zeros(0, dtype=np.int64), np.zeros((2, 0)), 4)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.zeros((4, 2)))
+
+    def test_no_columns_give_an_empty_float64_block(self):
+        out = nm._column_sums(np.array([0, 2]), iter(()), 4)
+        assert out.shape == (4, 0) and out.dtype == np.float64
+
+
 def test_backward_skips_a_branch_that_misses_the_loss():
     x, spare = tensor([1.0, -2.0]), tensor([3.0, 4.0])
     with Tape() as tape:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -690,6 +691,62 @@ class TestRayStreamVjpIsTheOracleAdjoint:
         )
         ctxs, dists = [t.data for t in inputs[0::2]], [t.data for t in inputs[1::2]]
         assert_adjoint(oracles.ray_stream_oracle(ctxs, dists, cams, bins, bev), weight, inputs, grads)
+
+
+def away_camera():
+    """Faces -x from behind BEV_CROPPED's x_min, so every bin-centre sample leaves the grid."""
+    R, t = geo.look_at_pose([-2.0, 0.0, 1.5], [-6.0, 0.0, 0.5])
+    return CameraParams(fx=8, fy=8, cx=8, cy=8, width=16, height=16,
+                        rotation=R, translation=t, name="away")
+
+
+class TestRayStreamEmptyCamera:
+    @pytest.mark.parametrize("ct", [1, 3])
+    def test_beside_a_camera_that_sees_the_grid(self, ct):
+        rng = np.random.default_rng(50 + ct)
+        cams, ctxs, dists = ray_inputs(rng, n_cams=2, ct=ct)
+        cams[1] = away_camera()
+        inputs = [Tensor(a) for pair in zip(ctxs, dists) for a in pair]
+        out, grads, _ = output_and_grads(
+            lambda ts: vt.ray_stream(ts[0::2], ts[1::2], cams, BINS8, BEV_CROPPED),
+            inputs, rng.normal(size=(7, 7, ct)),
+        )
+        assert np.any(out != 0)
+        assert np.array_equal(out, oracles.ray_stream_oracle(ctxs, dists, cams, BINS8, BEV_CROPPED))
+        assert np.any(grads[0] != 0) and np.any(grads[1] != 0)
+        assert np.array_equal(grads[2], np.zeros_like(ctxs[1]))
+        assert np.array_equal(grads[3], np.zeros_like(dists[1]))
+
+    @pytest.mark.parametrize("ct", [1, 3])
+    def test_alone_gives_float64_zeros(self, ct):
+        rng = np.random.default_rng(52 + ct)
+        _, ctxs, dists = ray_inputs(rng, n_cams=1, ct=ct)
+        out = vt.ray_stream([Tensor(ctxs[0])], [Tensor(dists[0])], [away_camera()], BINS8, BEV_CROPPED)
+        assert out.data.dtype == np.float64
+        assert np.array_equal(out.data, np.zeros((7, 7, ct)))
+
+
+def test_ray_stream_holds_no_samples_by_channels_array():
+    """Neither direction allocates a [P*D, C] float64 array (2.1 MB per camera here):
+    the forward works one channel at a time, and so does the VJP."""
+    bev, bins, cams, inputs, weight = detector_scale_inputs(0)
+    one_product = 32 * 32 * bins.count * 16 * 8
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            out = vt.ray_stream(inputs[0::2], inputs[1::2], cams, bins, bev)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        loss = nm.sum(nm.mul(out, Tensor(weight)))
+        tracemalloc.start()
+        try:
+            backward(tape, loss)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert backward_peak < one_product
+    assert forward_peak < 4e6
 
 
 class TestPointStreamIsTheOpChain:
