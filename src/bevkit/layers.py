@@ -1,11 +1,14 @@
 """Composed blocks built from the numerics primitives.
 
-conv2d is one tape op: im2col over a strided window view of the zero-padded
-input and one affine map. Its VJP takes the input gradient as a transposed
-conv, im2col of the stride-dilated, padded output gradient times the flipped
-kernel. Its node keeps the padded input, not the k*k times larger patch
-matrix: the VJP rebuilds the patches from it with the same window view and
-copy, so the weight gradient's GEMM reads the same bits.
+conv2d is one tape op and builds no im2col matrix. Its forward is k GEMMs,
+one per kernel row, over a row-tap buffer that holds each padded row's k
+horizontal taps per output column (a third of im2col's bytes at k = 3),
+against the matching column block of the weight. Its VJP rebuilds that
+buffer from the padded input the node keeps: the weight gradient is k GEMMs
+over the same operands, and the input gradient is a transposed conv, the
+stride-dilated, padded output gradient through the same k-GEMM kernel with
+the flipped weight. Forward and VJP add in another order than one patch
+GEMM would, so they match a patch-matrix conv to rounding.
 conv_block_at gives conv_block's output at a few cells, computing both convs
 only on those cells' receptive field. Every other block is a composition of
 numerics ops, so all of them share one tape with the rest of the model.
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .numerics import DimensionError, LinearParams, Tensor
@@ -28,10 +30,23 @@ PROB_FLOOR = 1e-7  # binary_log_loss, the losses' one rule, clamps p to [PROB_FL
 class Conv2dParams:
     """k x k convolution as an affine map over flattened patches."""
 
-    lin: LinearParams  # [out_c, k*k*in_c]
+    lin: LinearParams  # [out_c, k*k*in_c], columns in (ky, kx, c) order
     kernel: int
     stride: int
     pad: int
+
+    def __post_init__(self):
+        for name, low in (("kernel", 1), ("stride", 1), ("pad", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise DimensionError(
+                    f"Conv2dParams: {name} must be an integer >= {low}, got {value!r}"
+                )
+        if self.lin.in_dim % (self.kernel * self.kernel):
+            raise DimensionError(
+                f"Conv2dParams: lin.in_dim {self.lin.in_dim} is not a multiple of "
+                f"kernel * kernel = {self.kernel * self.kernel}"
+            )
 
     @property
     def in_channels(self):
@@ -42,11 +57,29 @@ class Conv2dParams:
         return self.lin.out_dim
 
 
-def _patches(padded: np.ndarray, k: int, s: int) -> np.ndarray:
-    """im2col of a padded [H, W, C] input: [H_out * W_out, k*k*C], rows in (ky, kx, c) order."""
-    windows = sliding_window_view(padded, (k, k), axis=(0, 1))[::s, ::s]
-    oh, ow = windows.shape[:2]
-    return windows.transpose(0, 1, 3, 4, 2).reshape(oh * ow, -1)
+def _row_taps(padded: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
+    """The k left operands [oh * ow, k*C] of a k x k conv at stride s over a padded
+    [H, W, C] input: operand ky holds row s*oy + ky's k taps per output column, in
+    (kx, c) order. All k are views of one tap buffer whose rows are grouped by row
+    phase (y mod s), so every operand is a contiguous run of it; the buffer copies
+    each padded row's used columns k times, where im2col copies them k*k times."""
+    c = padded.shape[2]
+    taps = np.empty((min(s, k), (k - 1) // s + oh, ow, k * c))
+    for phase in range(len(taps)):
+        src = padded[phase : s * (oh - 1) + k : s]
+        for kx in range(k):
+            columns = src[:, kx : kx + s * (ow - 1) + 1 : s]
+            taps[phase, : len(src), :, kx * c : (kx + 1) * c] = columns
+    return [taps[ky % s, ky // s : ky // s + oh].reshape(oh * ow, k * c) for ky in range(k)]
+
+
+def _conv_gemms(operands: list[np.ndarray], weight_t: np.ndarray) -> np.ndarray:
+    """sum over ky of operands[ky] @ weight_t's ky-th row block; weight_t is [k*k*C, O]."""
+    block = operands[0].shape[1]
+    out = operands[0] @ weight_t[:block]
+    for ky in range(1, len(operands)):
+        out += operands[ky] @ weight_t[ky * block : (ky + 1) * block]
+    return out
 
 
 def conv2d(x, p: Conv2dParams) -> Tensor:
@@ -54,12 +87,14 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
 
     x that is not a Tensor is a constant, as for nm.add and nm.mul: the node's
     inputs are only (weight, bias), and its VJP skips the input gradient.
-    The node keeps the padded input [H+2p, W+2p, C_in], not the patch matrix,
-    which is about k*k times larger at stride 1. The VJP rebuilds the patches
-    with _patches, which copies the same elements into the same order, so
-    the weight gradient's GEMM reads the same bits as the forward's did.
-    The input gradient, a transposed conv (see the module docstring), matches
-    a patch scatter to rounding.
+    The output is k GEMMs over _row_taps' operands, one per kernel row ky,
+    each against the weight's ky column block, plus the bias. The node keeps
+    only the padded input [H+2p, W+2p, C_in]; the VJP rebuilds the tap
+    buffer, about k times larger, from it. The weight gradient is k GEMMs
+    g^T @ operand, placed side by side in (ky, kx, c) order. The input
+    gradient is a transposed conv through the same two helpers: the output
+    gradient dilated by the stride and padded by k - 1, at stride 1, times
+    the flipped kernel. Both directions match a patch-matrix conv to rounding.
     """
     const = not isinstance(x, Tensor)
     data = np.asarray(x, dtype=np.float64) if const else x.data
@@ -79,7 +114,9 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(oh * ow, -1)
-        params = (g2.T @ _patches(padded, k, s), g2.sum(axis=0))
+        # No name holds the tap buffer, so it is freed before the input gradient builds its own.
+        gw = np.concatenate([g2.T @ rows for rows in _row_taps(padded, k, s, oh, ow)], axis=1)
+        params = (gw, g2.sum(axis=0))
         if const:
             return params
         # Padded pixel i gets g[oy] W[i - s*oy]: g sits at k - 1 + s*oy, and
@@ -88,11 +125,13 @@ def conv2d(x, p: Conv2dParams) -> Tensor:
         dilated[k - 1 : k - 1 + s * oh : s, k - 1 : k - 1 + s * ow : s] = g2.reshape(oh, ow, -1)
         window = dilated[pad : pad + h + k - 1, pad : pad + w + k - 1]
         flipped = W.reshape(-1, k, k, c)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(-1, c)
-        return ((_patches(window, k, 1) @ flipped).reshape(h, w, c),) + params
+        gx = _conv_gemms(_row_taps(window, k, 1, h, w), flipped)
+        return (gx.reshape(h, w, c),) + params
 
-    out = (_patches(padded, k, s) @ W.T + b).reshape(oh, ow, -1)
+    out = _conv_gemms(_row_taps(padded, k, s, oh, ow), W.T)
+    out += b
     inputs = (p.lin.weight, p.lin.bias) if const else (x, p.lin.weight, p.lin.bias)
-    return nm._emit("conv2d", inputs, out, (padded,), vjp)
+    return nm._emit("conv2d", inputs, out.reshape(oh, ow, -1), (padded,), vjp)
 
 
 @dataclass(frozen=True)
@@ -134,8 +173,10 @@ def conv_block_at(x: Tensor, conv1: Conv2dParams, conv2: Conv2dParams, cells) ->
     linear over patch rows in conv2d's (ky, kx, c) order, so both read the
     same Conv2dParams. Both convs must be stride 1 with an odd kernel and
     pad kernel // 2, the padding under which conv_block keeps the grid size.
-    The values match conv_block's rows to rounding, not bit for bit: BLAS
-    may pick another GEMM kernel for a few rows than for the whole grid.
+    The values match conv_block's rows to rounding, not bit for bit: each
+    linear here sums a patch row's k*k*C products in one GEMM, where conv2d
+    sums k partial GEMMs, one per kernel row, so the two add in different
+    orders (and BLAS may pick another kernel for a few rows than for a grid).
     """
     if x.ndim != 3 or x.shape[2] != conv1.in_channels:
         raise DimensionError(
