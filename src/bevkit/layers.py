@@ -9,9 +9,9 @@ over the same operands, and the input gradient is a transposed conv, the
 stride-dilated, padded output gradient through the same k-GEMM kernel with
 the flipped weight. Forward and VJP add in another order than one patch
 GEMM would, so they match a patch-matrix conv to rounding.
-conv_block_at gives conv_block's output at a few cells, computing both convs
-only on those cells' receptive field. Every other block is a composition of
-numerics ops, so all of them share one tape with the rest of the model.
+conv_block_at computes conv_block at a few cells from their receptive field
+only. binary_log_loss is one tape op too, with a closed-form VJP. Every other
+block composes numerics ops, so all of them share one tape with the model.
 """
 
 from __future__ import annotations
@@ -240,16 +240,24 @@ def attention(queries: Tensor, memory: Tensor, p: AttentionParams):
 
 def binary_log_loss(probs: Tensor, pos_weight, neg_weight, gamma: float) -> Tensor:
     """-sum(pos_weight (1 - p)^gamma log p + neg_weight p^gamma log(1 - p)) for p = probs
-    clamped to [PROB_FLOOR, 1 - PROB_FLOOR]. The weights are constant arrays of probs' shape
-    that carry a loss's targets and normalisation; at gamma 0 no power term is computed."""
-    p = nm.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    log_p, log_q = nm.log(p), nm.log(nm.sub(1.0, p))
-    pos, neg = log_p, log_q
-    if gamma != 0:  # p and 1 - p are positive after the clamp: x^gamma = exp(gamma log x)
-        pos = nm.mul(nm.exp(nm.mul(log_q, gamma)), log_p)
-        neg = nm.mul(nm.exp(nm.mul(log_p, gamma)), log_q)
-    terms = nm.add(nm.mul(pos, np.negative(pos_weight)), nm.mul(neg, np.negative(neg_weight)))
-    return nm.sum(terms)
+    clamped to [PROB_FLOOR, 1 - PROB_FLOOR]: one tape node, whose VJP is the closed-form
+    derivative, zero where the clamp is active. The weights are constants (numbers, or arrays
+    of probs' shape) carrying a loss's targets and normalisation; gamma 0 computes no power."""
+    _, wp = nm._operands("binary_log_loss", probs, pos_weight)
+    _, wn = nm._operands("binary_log_loss", probs, neg_weight)
+    p = np.clip(probs.data, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log(q)  # p, q > 0 after the clamp: x^gamma = exp(gamma log x)
+    q_pow, p_pow = (np.exp(log_q * gamma), np.exp(log_p * gamma)) if gamma != 0 else (1.0, 1.0)
+    terms = q_pow * log_p * np.negative(wp) + p_pow * log_q * np.negative(wn)
+
+    def vjp(g):
+        d_pos = q_pow / p - gamma * q_pow / q * log_p  # d/dp of (1 - p)^gamma log p
+        d_neg = gamma * p_pow / p * log_q - p_pow / q  # d/dp of p^gamma log(1 - p)
+        inside = (p > PROB_FLOOR) & (p < 1.0 - PROB_FLOOR)  # the clip keeps strict order
+        return (np.where(inside, g * -(wp * d_pos + wn * d_neg), 0.0),)
+
+    return nm._emit("binary_log_loss", (probs,), terms.sum(), (), vjp)
 
 
 def sinusoidal_encoding(gx, gy, dim: int) -> np.ndarray:

@@ -7,7 +7,10 @@ nonzero potential. Among them it returns the lexicographically smallest pair
 list, built in one pass over the predictions in order. All losses run on the
 numerics tape, so their gradients come from the same backward pass as the
 rest of the model. The focal and heatmap losses, like the camera branch's
-depth loss, are one rule with their own weights: layers.binary_log_loss.
+depth loss, are one rule with their own weights: layers.binary_log_loss, one
+tape node each. A loss computes only rows that carry weight: the depth loss
+takes only the supervised pixels' rows, and the matched loss encodes every
+ground truth at every candidate once for both its cost and its box targets.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import numerics as nm
 from .geometry import BEVConfig, bev_indices, require_finite
 from .layers import PROB_FLOOR, binary_log_loss
 from .numerics import NumericError, Tensor
-from .predictor import CandidateSet, HeadOutput, check_head_output, encode_box_for_cell
+from .predictor import CandidateSet, HeadOutput, check_head_output, encode_boxes
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -110,9 +113,10 @@ def _covers(nbrs: list[list[int]], rows, allowed) -> bool:
 def _smallest_tight_pairs(reduced: np.ndarray, tol: float, need_row, need_col) -> list:
     """hungarian_match's row-order search over the pairs with |reduced cost| <= tol."""
     m, n = reduced.shape
-    tight = reduced <= tol
-    gts = [np.flatnonzero(row).tolist() for row in tight]
-    preds = [np.flatnonzero(col).tolist() for col in tight.T]
+    gts, preds = [[] for _ in range(m)], [[] for _ in range(n)]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(reduced <= tol))):  # row-major order
+        gts[i].append(j)
+        preds[j].append(i)
     free = set(range(n))
     pairs = []
     for i in range(m):
@@ -215,6 +219,17 @@ def _check_class_ids(gt_boxes, class_count: int) -> None:
             )
 
 
+def _cost_and_targets(output: HeadOutput, cands: CandidateSet, gt_boxes, bev_cfg: BEVConfig):
+    """(match_against_gt's cost [K, G], every ground truth at every candidate [K, G, BOX_DIM])."""
+    check_head_output("match_against_gt", output, cands)
+    _check_class_ids(gt_boxes, output.class_logits.shape[1])
+    probs = np.clip(nm._sigmoid(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    p = probs[:, np.array([gt.class_id for gt in gt_boxes], dtype=np.int64)]
+    cls_cost = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)
+    encoded = encode_boxes(gt_boxes, cands.cells, bev_cfg)
+    return cls_cost + np.abs(output.boxes.data[:, None] - encoded).mean(axis=2), encoded
+
+
 def match_against_gt(
     output: HeadOutput, cands: CandidateSet, gt_boxes, bev_cfg: BEVConfig
 ) -> MatchResult:
@@ -223,16 +238,7 @@ def match_against_gt(
     Pair cost is a focal-style class cost at the ground-truth class plus the
     mean absolute difference between encoded boxes.
     """
-    check_head_output("match_against_gt", output, cands)
-    _check_class_ids(gt_boxes, output.class_logits.shape[1])
-    probs = np.clip(nm._sigmoid(output.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    cost = np.zeros((cands.k, len(gt_boxes)))
-    for gi, gt in enumerate(gt_boxes):
-        p = probs[:, gt.class_id]
-        cls_cost = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.log(p)
-        encoded = encode_box_for_cell(gt, cands.cells, bev_cfg)
-        cost[:, gi] = cls_cost + np.abs(output.boxes.data - encoded).mean(axis=1)
-    return hungarian_match(cost)
+    return hungarian_match(_cost_and_targets(output, cands, gt_boxes, bev_cfg)[0])
 
 
 def head_set_loss(
@@ -246,10 +252,11 @@ def head_set_loss(
 
     Matched predictions take a one-hot class target at their ground truth;
     unmatched ones count as background (all-zero target row). The box term
-    averages over matched pairs only.
+    averages over matched pairs only, against the encoding the match cost used.
     Returns (loss tensor, match result).
     """
-    match = match_against_gt(output, cands, gt_boxes, bev_cfg)
+    cost, encoded = _cost_and_targets(output, cands, gt_boxes, bev_cfg)
+    match = hungarian_match(cost)
     k, n_cls = output.class_logits.shape
     if k == 0:
         return Tensor(0.0), match
@@ -258,11 +265,8 @@ def head_set_loss(
         targets[ki, gt_boxes[gi].class_id] = 1.0
     cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets, FOCAL_ALPHA, FOCAL_GAMMA)
     if match.pairs:
-        pred_rows = nm.gather_rows(output.boxes, np.array([p for p, _ in match.pairs]))
-        gt_rows = np.stack(
-            [encode_box_for_cell(gt_boxes[gi], cands.cells[ki], bev_cfg) for ki, gi in match.pairs]
-        )
-        box_loss = l1_box_loss(pred_rows, gt_rows)
+        preds, gts = np.array(match.pairs).T
+        box_loss = l1_box_loss(nm.gather_rows(output.boxes, preds), encoded[preds, gts])
     else:
         box_loss = Tensor(0.0)
     loss = nm.add(nm.mul(cls_loss, weights.lam1), nm.mul(box_loss, weights.lam2))

@@ -31,8 +31,8 @@ import numpy as np
 
 from .geometry import freeze
 
-# Ops that make only finite values from finite inputs (clamp checks its bounds); no scan.
-_FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu", "clamp"})
+# Ops that only move, select or zero input values, so their outputs skip the NaN/Inf scan.
+_FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu"})
 
 
 class NumericError(ArithmeticError):
@@ -392,28 +392,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _emit("relu", (x,), np.where(mask, x.data, 0.0), (), lambda g: (g * mask,))
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(xd)
-    return _emit("log", (x,), y, (), lambda g: (g / xd,))
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return _emit("exp", (x,), y, (), lambda g: (g * y,))
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to finite bounds [lo, hi]; gradient is zero where the clamp is active."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericError(f"clamp: bounds must be finite, got [{lo}, {hi}]")
-    inside = (x.data > lo) & (x.data < hi)
-    return _emit(
-        "clamp", (x,), np.clip(x.data, lo, hi), (lo, hi), lambda g: (g * inside,)
-    )
 
 
 def sum(x: Tensor, axis=None) -> Tensor:  # noqa: A001 - mirrors the primitive name

@@ -230,17 +230,24 @@ def decode_box(cell, box: np.ndarray, bev_cfg: BEVConfig):
     return np.stack([x, y, box[..., 2]], axis=-1), np.exp(box[..., 3:6]), yaw, box[..., 8:10].copy()
 
 
-def encode_box_for_cell(gt_box, cell, bev_cfg: BEVConfig) -> np.ndarray:
-    """Ground-truth box in the head's 10-dim parameterization at one cell
-    (gx, gy) -> [BOX_DIM], or at each of the cells [K, 2] -> [K, BOX_DIM]."""
-    cell = np.asarray(cell, dtype=np.int64)
-    cx, cy = bev_cfg.cell_center(cell[..., 0], cell[..., 1])
-    out = np.empty(cell.shape[:-1] + (BOX_DIM,))
-    out[..., 0] = (gt_box.center[0] - cx) / bev_cfg.cell_w
-    out[..., 1] = (gt_box.center[1] - cy) / bev_cfg.cell_h
-    yaw = gt_box.yaw
-    out[..., 2:] = [gt_box.center[2], *np.log(gt_box.size), np.sin(yaw), np.cos(yaw), *gt_box.velocity]
+def encode_boxes(gt_boxes, cells, bev_cfg: BEVConfig) -> np.ndarray:
+    """Ground-truth boxes in the head's 10-dim parameterization at cells [..., 2] ->
+    [..., G, BOX_DIM], box g in column g: every box at every cell, in one pass."""
+    cells = np.asarray(cells, dtype=np.int64)
+    cx, cy = bev_cfg.cell_center(cells[..., 0, None], cells[..., 1, None])
+    centers = np.array([b.center for b in gt_boxes]).reshape(-1, 3)
+    out = np.empty(cells.shape[:-1] + (len(gt_boxes), BOX_DIM))
+    out[..., 0] = (centers[:, 0] - cx) / bev_cfg.cell_w
+    out[..., 1] = (centers[:, 1] - cy) / bev_cfg.cell_h
+    out[..., 2:] = np.array(
+        [[b.center[2], *np.log(b.size), np.sin(b.yaw), np.cos(b.yaw), *b.velocity] for b in gt_boxes]
+    ).reshape(len(gt_boxes), BOX_DIM - 2)
     return out
+
+
+def encode_box_for_cell(gt_box, cell, bev_cfg: BEVConfig) -> np.ndarray:
+    """One box's encode_boxes: at a cell (gx, gy) -> [BOX_DIM], at cells [K, 2] -> [K, BOX_DIM]."""
+    return encode_boxes([gt_box], cell, bev_cfg)[..., 0, :]
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,9 @@ def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> D
 
 
 def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor:
-    """Bin-wise binary cross entropy pooled over cameras, averaged over valid pixels."""
+    """Bin-wise binary cross entropy pooled over cameras, averaged over valid pixels (at
+    least 1). Only the supervised pixels' rows (mask nonzero) are gathered into it: the
+    others weigh 0, so they would add exactly 0.0 and get zero gradients."""
     _check_camera_lists("depth_loss_multi", distributions=dists, targets=gts)
     for dist, gt in zip(dists, gts):
         if gt.onehot.shape != dist.shape or gt.mask.shape != dist.shape[:2]:
@@ -164,13 +166,14 @@ def depth_loss_multi(dists: list[Tensor], gts: list[DepthGroundTruth]) -> Tensor
                 f"depth_loss_multi: distribution {dist.shape} vs target {gt.onehot.shape}"
                 f" with mask {gt.mask.shape}"
             )
-    rows = nm.concat(
-        [nm.reshape(d, (d.shape[0] * d.shape[1], d.shape[2])) for d in dists], axis=0
-    )
-    target = np.concatenate([g.onehot.reshape(-1, g.onehot.shape[2]) for g in gts], axis=0)
-    mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)[:, None]
+    flat = [nm.reshape(d, (d.shape[0] * d.shape[1], d.shape[2])) for d in dists]
+    mask = np.concatenate([g.mask.ravel() for g in gts], axis=0)
+    supervised = np.flatnonzero(mask)
+    rows = nm.gather_rows(nm.concat(flat, axis=0), supervised)
+    target = np.concatenate([g.onehot[g.mask != 0] for g in gts], axis=0)
+    weight = mask[supervised, None]
     valid = max(1.0, float(mask.sum()))
-    return binary_log_loss(rows, target * mask / valid, (1.0 - target) * mask / valid, 0.0)
+    return binary_log_loss(rows, target * weight / valid, (1.0 - target) * weight / valid, 0.0)
 
 
 def _feature_pixel_rays(hp: int, wp: int, stride: int):

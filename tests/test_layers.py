@@ -401,11 +401,29 @@ class TestBinaryLogLoss:
 
     @pytest.mark.parametrize("gamma, powers", [(0.0, 0), (2.0, 2)])
     def test_probs_is_the_only_leaf(self, gamma, powers):
+        """One fused node whose only input is probs. Every cell of its VJP closure is bound
+        on both paths (a tracer reads them all), and it holds the power arrays
+        (1 - p)^gamma and p^gamma only at gamma != 0."""
         p, wp, wn = self.case(3)
         probs = Tensor(p)
         with Tape() as tape:
-            binary_log_loss(probs, wp, wn, gamma)
-        produced = {node.output_id for node in tape.nodes}
-        leaves = {i for node in tape.nodes for i in node.input_ids} - produced
-        assert leaves == {probs.id}
-        assert [node.op for node in tape.nodes].count("exp") == powers
+            out = binary_log_loss(probs, wp, wn, gamma)
+        (node,) = tape.nodes
+        assert (node.op, node.input_ids, node.output_id) == ("binary_log_loss", (probs.id,), out.id)
+        names = node.vjp.__code__.co_freevars
+        held = {name: cell.cell_contents for name, cell in zip(names, node.vjp.__closure__)}
+        assert sum(isinstance(held[name], np.ndarray) for name in ("q_pow", "p_pow")) == powers
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_gradient_is_zero_where_the_clamp_is_active(self, gamma):
+        p = np.array([0.0, PROB_FLOOR, 1.0 - PROB_FLOOR, 1.0, 0.3])
+        probs = Tensor(p)
+        with Tape() as tape:
+            backward(tape, binary_log_loss(probs, np.ones(5), np.full(5, 0.5), gamma))
+        g = tape.grad(probs).data
+        assert np.array_equal(g[:4], np.zeros(4)) and g[4] != 0.0
+
+    def test_weights_of_another_shape_are_rejected(self):
+        p, wp, wn = self.case(0)
+        with pytest.raises(DimensionError, match=r"binary_log_loss: shape mismatch \(5, 3\) vs \(3,\)"):
+            binary_log_loss(Tensor(p), wp[0], wn, 2.0)

@@ -10,7 +10,7 @@ from bevkit import oracles
 from bevkit import predictor as pr
 from bevkit import view_transform as vt
 from bevkit.geometry import BEVConfig
-from bevkit.layers import ffn_init
+from bevkit.layers import PROB_FLOOR, binary_log_loss, ffn_init
 from bevkit.numerics import NumericError, Tensor
 from bevkit.oracles import bev_index
 from bevkit.scene import ObjectBox
@@ -342,15 +342,11 @@ def test_focal_bce_l1_fuser_gradient_suite():
     # focal
     t = (rng.uniform(size=8) > 0.4).astype(float)
     assert nm.finite_diff_check(lambda x: ls.focal_loss(nm.sigmoid(x), t), Tensor(rng.normal(size=8))) < 1e-4
-    # bce via depth loss path is covered in view transform tests; here: plain clamp+log
+    # bce: the depth loss's rule (gamma 0) on its own, through a sigmoid
     target = (rng.uniform(size=6) > 0.5).astype(float)
 
     def bce(x):
-        p = nm.clamp(nm.sigmoid(x), 1e-7, 1 - 1e-7)
-        pos = nm.mul(nm.mul(Tensor(target), nm.log(p)), -1.0)
-        q = nm.sub(Tensor(np.ones(6)), p)
-        neg = nm.mul(nm.mul(Tensor(1 - target), nm.log(q)), -1.0)
-        return nm.sum(nm.add(pos, neg))
+        return binary_log_loss(nm.sigmoid(x), target, 1.0 - target, 0.0)
 
     assert nm.finite_diff_check(bce, Tensor(rng.normal(size=6))) < 1e-4
 
@@ -381,6 +377,75 @@ class TestMatchEmptySide:
         cells = [bev_index(b.center[0], b.center[1], BEV16) for b in boxes]
         out, cands = head_output_for(boxes, cells)
         assert ls.match_against_gt(out, cands, [], BEV16) == ls.MatchResult((), (0, 1), (), 0.0)
+
+
+class TestCostForAllGroundTruthsAtOnce:
+    """match_against_gt's cost and head_set_loss's box targets, against one encode and one
+    column per ground truth."""
+
+    @staticmethod
+    def loop_cost(out, cands, boxes):
+        probs = np.clip(nm._sigmoid(out.class_logits.data), PROB_FLOOR, 1.0 - PROB_FLOOR)
+        cost = np.zeros((cands.k, len(boxes)))
+        for gi, box in enumerate(boxes):
+            p = probs[:, box.class_id]
+            cls_cost = -ls.FOCAL_ALPHA * (1.0 - p) ** ls.FOCAL_GAMMA * np.log(p)
+            encoded = pr.encode_box_for_cell(box, cands.cells, BEV16)
+            cost[:, gi] = cls_cost + np.abs(out.boxes.data - encoded).mean(axis=1)
+        return cost
+
+    @staticmethod
+    def random_case(rng, k, g, n_cls=3):
+        boxes = [
+            gt_box(*rng.uniform(-8.0, 8.0, size=2), cls=int(rng.integers(0, n_cls)),
+                   yaw=rng.uniform(-np.pi, np.pi), size=rng.uniform(0.3, 5.0, size=3),
+                   vel=rng.normal(size=2))
+            for _ in range(g)
+        ]
+        cells = rng.integers(0, 16, size=(k, 2))
+        scores = -np.sort(-rng.uniform(size=k))
+        cands = pr.CandidateSet(cells, rng.integers(0, n_cls, size=k), scores)
+        out = pr.HeadOutput(
+            Tensor(rng.normal(scale=3.0, size=(k, n_cls))), Tensor(rng.normal(size=(k, pr.BOX_DIM)))
+        )
+        return out, cands, boxes
+
+    @pytest.mark.parametrize("k, g", [(12, 5), (7, 1), (3, 6), (9, 0)])
+    def test_cost_is_the_per_ground_truth_loop(self, k, g):
+        rng = np.random.default_rng(100 * k + g)
+        for _ in range(10):
+            out, cands, boxes = self.random_case(rng, k, g)
+            cost, encoded = ls._cost_and_targets(out, cands, boxes, BEV16)
+            assert np.array_equal(cost, self.loop_cost(out, cands, boxes))
+            per_box = np.zeros((k, g, pr.BOX_DIM))
+            for gi, box in enumerate(boxes):
+                per_box[:, gi] = pr.encode_box_for_cell(box, cands.cells, BEV16)
+            assert np.array_equal(encoded, per_box)
+            assert ls.match_against_gt(out, cands, boxes, BEV16) == ls.hungarian_match(cost)
+
+    def test_zero_ground_truths_give_an_empty_match(self):
+        out, cands, _ = self.random_case(np.random.default_rng(3), 6, 0)
+        cost, encoded = ls._cost_and_targets(out, cands, [], BEV16)
+        assert cost.shape == (6, 0) and encoded.shape == (6, 0, pr.BOX_DIM)
+        assert ls.match_against_gt(out, cands, [], BEV16) == ls.MatchResult(
+            (), tuple(range(6)), (), 0.0
+        )
+
+    def test_box_targets_are_the_matched_pairs_encodings(self):
+        out, cands, boxes = self.random_case(np.random.default_rng(4), 8, 4)
+        weights = ls.LossWeights()
+        loss, match = ls.head_set_loss(out, cands, boxes, BEV16, weights)
+        targets = np.zeros(out.class_logits.shape)
+        for ki, gi in match.pairs:
+            targets[ki, boxes[gi].class_id] = 1.0
+        cls_loss = ls.focal_loss(nm.sigmoid(out.class_logits), targets)
+        preds = [ki for ki, _ in match.pairs]
+        gt_rows = np.stack([
+            pr.encode_box_for_cell(boxes[gi], cands.cells[ki], BEV16) for ki, gi in match.pairs
+        ])
+        box_loss = ls.l1_box_loss(nm.gather_rows(out.boxes, np.array(preds)), gt_rows)
+        want = cls_loss.item() * weights.lam1 + box_loss.item() * weights.lam2
+        assert len(match.pairs) == 4 and loss.item() == want
 
 
 class TestVeryNegativeLogits:

@@ -105,7 +105,16 @@ def test_only_parameters_get_gradients(name):
     assert set(pipeline.train_step(params, sample, wl).tape.gradients) == ids
 
 
-@pytest.mark.parametrize("op", ["conv2d", "ray_stream", "point_stream"])
+def test_training_tape_has_at_most_175_nodes():
+    """One node per clamped log-likelihood and the depth loss over its supervised rows:
+    the train_fixed_rig tape went from 224 nodes to 175."""
+    wl = workloads.WORKLOADS["train_fixed_rig"]
+    params = pipeline.init_params(np.random.default_rng(1), wl.voxel.counts[2], wl.bins.count)
+    sample = workloads.simulate(wl, 1, workloads.STEP_STREAM, 0)
+    assert len(pipeline.train_step(params, sample, wl).tape.nodes) <= 175
+
+
+@pytest.mark.parametrize("op", ["conv2d", "ray_stream", "point_stream", "binary_log_loss"])
 def test_a_vjp_off_by_a_thousandth_fails_the_check(monkeypatch, op):
     emit = nm._emit
 
