@@ -12,6 +12,8 @@ GEMM would, so they match a patch-matrix conv to rounding.
 conv_block_at computes conv_block at a few cells from their receptive field
 only. binary_log_loss is one tape op too, with a closed-form VJP. Every other
 block composes numerics ops, so all of them share one tape with the model.
+attention's key is a bare weight [C_in, C_k], memory's right operand: a key
+bias shifts each query's logits by one constant, which softmax cancels.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class Conv2dParams:
     @property
     def in_channels(self):
         return self.lin.in_dim // (self.kernel * self.kernel)
-
-    @property
-    def out_channels(self):
-        return self.lin.out_dim
 
 
 def _row_taps(padded: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
@@ -218,24 +216,25 @@ def ffn(x: Tensor, p: FfnParams) -> Tensor:
 
 @dataclass(frozen=True)
 class AttentionParams:
+    """Affine query and value maps and a bare key weight [C_in, C_k]: softmax cancels a key bias."""
+
     query: LinearParams
-    key: LinearParams
+    key: Tensor  # [C_in, C_k]
     value: LinearParams
 
 
-def attention(queries: Tensor, memory: Tensor, p: AttentionParams):
-    """Single-head scaled dot-product attention.
+def attention(queries: Tensor, memory: Tensor, p: AttentionParams) -> Tensor:
+    """Single-head scaled dot-product attention: the attended values [K, C_v].
 
-    Returns (attended values [K, C_v], weights [K, T]); each weight row
-    sums to one.
+    Keys are memory @ p.key, p.key [C_in, C_k], with no bias: a key bias adds
+    q . b_k to every logit in a query's row, a shift that softmax cancels.
     """
     q = nm.linear(queries, p.query)
-    k = nm.linear(memory, p.key)
+    k = nm.matmul(memory, p.key)
     v = nm.linear(memory, p.value)
     scale = 1.0 / np.sqrt(q.shape[-1])
     logits = nm.mul(nm.matmul(q, nm.permute(k, (1, 0))), scale)
-    weights = nm.softmax(logits, axis=1)
-    return nm.matmul(weights, v), weights
+    return nm.matmul(nm.softmax(logits, axis=1), v)
 
 
 def binary_log_loss(probs: Tensor, pos_weight, neg_weight, gamma: float) -> Tensor:
@@ -306,6 +305,6 @@ def ffn_init(rng, out_dim: int, hidden_dim: int, in_dim: int) -> FfnParams:
 def attention_init(rng, dim: int) -> AttentionParams:
     return AttentionParams(
         query=linear_init(rng, dim, dim),
-        key=linear_init(rng, dim, dim),
+        key=Tensor(linear_init(rng, dim, dim).weight.data.T),  # same draws, stored [C_in, C_k]
         value=linear_init(rng, dim, dim),
     )

@@ -184,10 +184,8 @@ def hungarian_match(cost) -> MatchResult:
     )
 
 
-def focal_loss(
-    probs: Tensor, targets, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
-) -> Tensor:
-    """Binary focal loss, mean over all elements.
+def focal_loss(probs: Tensor, targets) -> Tensor:
+    """Binary focal loss at FOCAL_ALPHA and FOCAL_GAMMA, mean over all elements.
 
     targets is a {0,1} array of the same shape. binary_log_loss clamps the
     probabilities to [PROB_FLOOR, 1 - PROB_FLOOR] before the logs.
@@ -197,7 +195,8 @@ def focal_loss(
         raise nm.DimensionError(f"focal_loss: targets {t.shape} vs probs {probs.shape}")
     if t.size == 0:
         raise nm.DimensionError("mean over an empty extent")
-    return binary_log_loss(probs, alpha * t / t.size, (1.0 - alpha) * (1.0 - t) / t.size, gamma)
+    pos, neg = FOCAL_ALPHA * t / t.size, (1.0 - FOCAL_ALPHA) * (1.0 - t) / t.size
+    return binary_log_loss(probs, pos, neg, FOCAL_GAMMA)
 
 
 def l1_box_loss(pred: Tensor, gt) -> Tensor:
@@ -263,7 +262,7 @@ def head_set_loss(
     targets = np.zeros((k, n_cls))
     for ki, gi in match.pairs:
         targets[ki, gt_boxes[gi].class_id] = 1.0
-    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets, FOCAL_ALPHA, FOCAL_GAMMA)
+    cls_loss = focal_loss(nm.sigmoid(output.class_logits), targets)
     if match.pairs:
         preds, gts = np.array(match.pairs).T
         box_loss = l1_box_loss(nm.gather_rows(output.boxes, preds), encoded[preds, gts])
@@ -319,33 +318,29 @@ def heatmap_loss(heatmap: Tensor, target: np.ndarray) -> Tensor:
 
 def total_loss(
     main: HeadOutput,
-    aux: HeadOutput | None,
+    aux: HeadOutput,
     cands: CandidateSet,
     heatmap: Tensor,
     gt_boxes,
     bev_cfg: BEVConfig,
     weights: LossWeights,
-    depth: Tensor | None = None,
+    depth: Tensor,
 ):
-    """Weighted sum of heatmap, matched main, auxiliary, and depth terms.
+    """Weighted sum of the heatmap, matched main, auxiliary and depth terms.
 
-    Returns (scalar loss tensor, dict of float part values). Every term given is
-    weighted and summed, so a zero weight still lists its part and gives its
-    inputs a zero gradient.
+    Returns (scalar loss tensor, dict of float part values: heatmap, main, aux,
+    depth and total). Every term is weighted and summed, so a zero weight still
+    lists its part and gives its inputs a zero gradient.
     """
     h_loss = heatmap_loss(heatmap, heatmap_target(gt_boxes, bev_cfg, heatmap.shape[2]))
-    pieces = [nm.mul(h_loss, weights.lam_heat)]
     main_loss, _ = head_set_loss(main, cands, gt_boxes, bev_cfg, weights)
-    pieces.append(nm.mul(main_loss, weights.lam_box))
-    parts = {"heatmap": h_loss.item(), "main": main_loss.item()}
-    if aux is not None:
-        aux_term, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
-        parts["aux"] = aux_term.item()
-        pieces.append(aux_term)
-    if depth is not None:
-        parts["depth"] = depth.item()
-        pieces.append(nm.mul(depth, weights.lam_depth))
-
+    aux_loss, _ = head_set_loss(aux, cands, gt_boxes, bev_cfg, weights)
+    pieces = [
+        nm.mul(h_loss, weights.lam_heat),
+        nm.mul(main_loss, weights.lam_box),
+        aux_loss,
+        nm.mul(depth, weights.lam_depth),
+    ]
     total = functools.reduce(nm.add, pieces)
-    parts["total"] = total.item()
-    return total, parts
+    parts = {"heatmap": h_loss, "main": main_loss, "aux": aux_loss, "depth": depth, "total": total}
+    return total, {name: t.item() for name, t in parts.items()}

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
-from .geometry import BEVConfig
+from .geometry import BEVConfig, require_int
 from .layers import (
     AttentionParams,
     Conv2dParams,
@@ -87,8 +87,9 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     constant plateau makes every cell eligible). Ties in score break by
     (gx, gy, class), lexicographically smallest first.
     """
+    require_int("select_candidates", k=k)
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"select_candidates: k must be >= 1, got {k}")
     h = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
     if h.ndim != 3 or 0 in h.shape:
         raise DimensionError(
@@ -134,7 +135,7 @@ def decode_general(b_f: Tensor, cands: CandidateSet, params: DecoderParams) -> T
     q = nm.gather_rows(rows, cands.flat_cells(Y))
     q = nm.add(q, nm.gather_rows(params.class_embed, cands.classes))
     q = nm.add(q, sinusoidal_encoding(cands.cells[:, 0], cands.cells[:, 1], C))
-    decoded, _ = attention(q, rows, params.attn)
+    decoded = attention(q, rows, params.attn)
     return nm.add(decoded, ffn(decoded, params.ffn))
 
 
@@ -167,8 +168,7 @@ def task_specific_features(
     q_c = conv_block_at(b_c, params.cam_conv1, params.cam_conv2, cands.cells)
     q_l = conv_block_at(b_l, params.lidar_conv1, params.lidar_conv2, cands.cells)
     tokens = nm.concat([q_c, q_l], axis=0)
-    attended, _ = attention(tokens, tokens, params.attn)
-    updated = nm.add(tokens, attended)
+    updated = nm.add(tokens, attention(tokens, tokens, params.attn))
     # Token i and token K + i, side by side: [2K, C] -> [2, K, C] -> [K, 2, C] -> [K, 2C].
     k, c = cands.k, updated.shape[1]
     paired = nm.reshape(nm.permute(nm.reshape(updated, (2, k, c)), (1, 0, 2)), (k, 2 * c))

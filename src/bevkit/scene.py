@@ -72,10 +72,6 @@ class ObjectBox:
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
 
-    def footprint(self) -> np.ndarray:
-        """4 corner points [4,2] of the box's yawed rectangle on the ground plane."""
-        return footprint_corners(self.center[:2], self.size, self.yaw)
-
 
 def footprint_corners(center_xy, size, yaw: float) -> np.ndarray:
     """4 corner points [4,2] of a yawed l x w rectangle on the ground plane."""
@@ -151,8 +147,9 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     footprint is computed once, and the separating-axis test runs only on
     pairs whose bounding circles meet, which cannot change the outcome.
     """
+    require_int("generate_scene", num_boxes=num_boxes)
     if num_boxes < 0:
-        raise ValueError("num_boxes must be non-negative")
+        raise ValueError(f"generate_scene: num_boxes must be >= 0, got {num_boxes}")
     Scene((), seed, class_count)  # checks seed and class_count before any draw
     rng = np.random.default_rng(np.random.PCG64(seed))
     boxes: list[ObjectBox] = []

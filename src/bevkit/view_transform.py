@@ -42,6 +42,7 @@ from .geometry import (
     bev_indices,
     depth_to_bins,
     project_points,
+    require_int,
     unproject_points,
 )
 from .layers import ConvBlockParams, LinearParams, binary_log_loss, conv_block
@@ -79,13 +80,16 @@ def camera_encode(image, params: CameraEncoderParams) -> Tensor:
     return conv_block(image, params.conv1, params.conv2)
 
 
-def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int = 2) -> Tensor:
+def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int) -> Tensor:
     """LR feature back to image resolution with fewer channels.
 
     A learned per-pixel affine map to factor^2 sub-pixels, then a pixel
     shuffle: with kernel == stride there is no overlap, so this is the exact
     transposed-convolution equivalent.
     """
+    require_int("upsample_hr", factor=factor)
+    if factor < 1:
+        raise ValueError(f"upsample_hr: factor must be >= 1, got {factor}")
     if lr_feat.ndim != 3:
         raise DimensionError(f"upsample_hr: LR feature {lr_feat.shape} is not [H, W, C]")
     h, w, c = lr_feat.shape

@@ -1,5 +1,6 @@
 """conv2d as one tape op, conv_block_at against conv_block, the segment sum
-under scatter_add / gather_rows, and binary_log_loss against a float loop."""
+under scatter_add / gather_rows, binary_log_loss against a float loop, and
+attention against a reference that has a key bias."""
 
 import math
 import tracemalloc
@@ -11,7 +12,10 @@ from bevkit import numerics as nm
 from bevkit import oracles
 from bevkit.layers import (
     PROB_FLOOR,
+    AttentionParams,
     Conv2dParams,
+    attention,
+    attention_init,
     binary_log_loss,
     conv2d,
     conv_block,
@@ -53,7 +57,7 @@ def composed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     gather_idx = ((oy + ky) * wp + ox + kx).ravel()
     padded = nm.scatter_add(nm.reshape(x, (h * w, c)), pad_idx, hp * wp)
     patches = nm.reshape(nm.gather_rows(padded, gather_idx), (oh * ow, k * k * c))
-    return nm.reshape(nm.linear(patches, p.lin), (oh, ow, p.out_channels))
+    return nm.reshape(nm.linear(patches, p.lin), (oh, ow, p.lin.out_dim))
 
 
 def grads(conv, x, p, r):
@@ -236,7 +240,7 @@ def block_case(k1, k2):
 
 def dense_block_at(x, conv1, conv2, cells):
     h, w, _ = x.shape
-    rows = nm.reshape(conv_block(x, conv1, conv2), (h * w, conv2.out_channels))
+    rows = nm.reshape(conv_block(x, conv1, conv2), (h * w, conv2.lin.out_dim))
     return nm.gather_rows(rows, cells[:, 0] * w + cells[:, 1])
 
 
@@ -427,3 +431,35 @@ class TestBinaryLogLoss:
         p, wp, wn = self.case(0)
         with pytest.raises(DimensionError, match=r"binary_log_loss: shape mismatch \(5, 3\) vs \(3,\)"):
             binary_log_loss(Tensor(p), wp[0], wn, 2.0)
+
+
+def biased_attention(queries, memory, p: AttentionParams, key_bias):
+    """attention in numpy with a key bias added: memory @ key + key_bias."""
+    q = queries @ p.query.weight.data.T + p.query.bias.data
+    k = memory @ p.key.data + key_bias
+    v = memory @ p.value.weight.data.T + p.value.bias.data
+    logits = q @ k.T / math.sqrt(q.shape[1])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True) @ v
+
+
+# (queries, memory rows): the decoder's K candidates over an n x n BEV (T = n^2), and
+# the task features' self-attention over 2K modality tokens.
+@pytest.mark.parametrize("k,t", [(12, 16 * 16), (12, 24)], ids=["decoder", "self_attention"])
+def test_a_key_bias_would_change_no_output(k, t):
+    """A key bias adds q . b_k to every logit of a query's row; softmax cancels the shift,
+    which is why AttentionParams.key is a bare weight."""
+    rng = np.random.default_rng(k + t)
+    c = 16
+    p = attention_init(rng, c)
+    p = AttentionParams(
+        LinearParams(p.query.weight, Tensor(rng.normal(size=c))),
+        p.key,
+        LinearParams(p.value.weight, Tensor(rng.normal(size=c))),
+    )
+    memory = rng.normal(size=(t, c))
+    queries = memory[:k] if t == 2 * k else rng.normal(size=(k, c))
+    out = attention(Tensor(queries), Tensor(memory), p).data
+    for scale in (1.0, 10.0):
+        ref = biased_attention(queries, memory, p, scale * rng.normal(size=c))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)

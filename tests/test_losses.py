@@ -149,13 +149,6 @@ class TestFocalLoss:
         loss = ls.focal_loss(Tensor(np.array([1.0 - 1e-9])), np.array([1.0]))
         assert loss.item() < 1e-6
 
-    def test_gamma_zero_reduces_to_half_bce(self):
-        p = np.array([0.3, 0.8])
-        t = np.array([1.0, 0.0])
-        loss = ls.focal_loss(Tensor(p), t, alpha=0.5, gamma=0.0)
-        bce = -(np.log(0.3) + np.log(0.2)) / 2.0
-        assert abs(loss.item() - 0.5 * bce) < 1e-12
-
     def test_gradient(self):
         rng = np.random.default_rng(3)
         t = (rng.uniform(size=6) > 0.5).astype(float)
@@ -302,21 +295,31 @@ class TestTotalLoss:
         heat = Tensor(np.clip((target == 1.0).astype(float), 1e-7, 1 - 1e-7))
         return out, cands, heat, boxes
 
+    def perfect_depth(self):
+        """(depth loss, its distribution leaf) of a distribution at its one-hot targets."""
+        onehot = np.eye(4)[np.random.default_rng(4).integers(0, 4, size=(2, 3))]
+        dist = Tensor(np.clip(onehot, 1e-7, 1 - 1e-7))
+        gt = vt.DepthGroundTruth(onehot=onehot, mask=np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+        return vt.depth_loss_multi([dist], [gt]), dist
+
     def test_perfect_inputs_small_loss(self):
         out, cands, heat, boxes = self.build_perfect()
-        total, parts = ls.total_loss(out, out, cands, heat, boxes, BEV16, ls.LossWeights())
+        depth, _ = self.perfect_depth()
+        total, parts = ls.total_loss(out, out, cands, heat, boxes, BEV16, ls.LossWeights(), depth)
         assert total.item() <= 1e-3
+        assert list(parts) == ["heatmap", "main", "aux", "depth", "total"]
         assert parts["total"] == total.item()
 
     def test_zero_weights_zero_gradients(self):
         out, cands, heat, boxes = self.build_perfect()
-        w = ls.LossWeights(lam_heat=0.0, lam_box=0.0)
+        w = ls.LossWeights(lam_heat=0.0, lam_box=0.0, lam_depth=0.0)
         with nm.Tape() as tape:
-            # aux loss only; heatmap tensor must receive no gradient
-            total, _ = ls.total_loss(out, None, cands, heat, boxes, BEV16, w)
-            if total.size == 1 and isinstance(total, Tensor):
-                nm.backward(tape, total)
+            # aux loss only; the heatmap and depth inputs must receive no gradient
+            depth, dist = self.perfect_depth()
+            total, _ = ls.total_loss(out, out, cands, heat, boxes, BEV16, w, depth)
+            nm.backward(tape, total)
         assert np.all(tape.grad(heat).data == 0.0)
+        assert np.all(tape.grad(dist).data == 0.0)
 
     def test_tape_has_no_leaf_but_its_inputs(self):
         out, cands, heat, boxes = self.build_perfect()

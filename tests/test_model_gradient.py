@@ -1,5 +1,5 @@
 """Whole-detector gradient check: the tape's directional derivative of the training
-loss against central differences, along one seeded direction over all 99 parameters
+loss against central differences, along one seeded direction over all 97 parameters
 and one over the upsample block alone.
 
 The detector is perfbench/pipeline.py's, read as it is. At init every bias is 0 and
@@ -33,16 +33,18 @@ from bevkit.numerics import Tensor  # noqa: E402
 
 ALL_EPS, ALL_TOL = 1e-8, 2e-6
 UPSAMPLE_EPS, UPSAMPLE_TOL = 1e-5, 3e-5
+DEAD_BELOW = 1e-13
 CASES = [(name, seed) for name in ("train_fixed_rig", "train_aug_rig") for seed in (1, 7, 11)]
 
 
-def _leaves(block) -> list[Tensor]:
-    """The Tensor leaves of a parameter block, in field order."""
+def _leaves(block, path="params") -> dict[str, Tensor]:
+    """The Tensor leaves of a parameter block by field path, in field order."""
     if isinstance(block, Tensor):
-        return [block]
+        return {path: block}
     if dataclasses.is_dataclass(block):
-        return [t for f in dataclasses.fields(block) for t in _leaves(getattr(block, f.name))]
-    return []
+        return {name: t for f in dataclasses.fields(block)
+                for name, t in _leaves(getattr(block, f.name), f"{path}.{f.name}").items()}
+    return {}
 
 
 def _replace_leaves(block, new, field=""):
@@ -72,7 +74,7 @@ def check_failures(name: str, seed: int) -> list[str]:
         ("all parameters", params, ALL_EPS, ALL_TOL),
         ("upsample", params.upsample, UPSAMPLE_EPS, UPSAMPLE_TOL),
     ]:
-        leaves = _leaves(block)
+        leaves = _leaves(block).values()
         direction = {t.id: rng.normal(size=t.shape) for t in leaves}
         analytic = sum(float(np.vdot(tape.grad(t).data, direction[t.id])) for t in leaves)
 
@@ -96,13 +98,22 @@ def test_whole_model_gradient(name, seed):
 
 @pytest.mark.parametrize("name", ["train_fixed_rig", "train_aug_rig"])
 def test_only_parameters_get_gradients(name):
-    """Every leaf of a training tape is a parameter: no constant is wrapped as a Tensor."""
+    """Every leaf of a training tape is a parameter, no constant is wrapped as a Tensor, and
+    no parameter is dead: each one's largest |gradient| entry is at least DEAD_BELOW of the
+    step's largest. Live tensors read >= 6e-11 here; an attention key bias, which softmax
+    cancels, read 1e-25."""
     wl = workloads.WORKLOADS[name]
     params = pipeline.init_params(np.random.default_rng(1), wl.voxel.counts[2], wl.bins.count)
     sample = workloads.simulate(wl, 1, workloads.STEP_STREAM, 0)
-    ids = {t.id for t in _leaves(params)}
-    assert len(ids) == 99
-    assert set(pipeline.train_step(params, sample, wl).tape.gradients) == ids
+    leaves = _leaves(params)
+    assert len({t.id for t in leaves.values()}) == len(leaves) == 97
+    tape = pipeline.train_step(params, sample, wl).tape
+    assert set(tape.gradients) == {t.id for t in leaves.values()}
+    largest = {name: np.abs(tape.grad(t).data).max() for name, t in leaves.items()}
+    step_largest = max(largest.values())
+    dead = {name: float(v / step_largest) for name, v in largest.items()
+            if v < DEAD_BELOW * step_largest}
+    assert dead == {}, f"parameters whose gradient is rounding noise: {dead}"
 
 
 def test_training_tape_has_at_most_175_nodes():

@@ -174,8 +174,7 @@ def _graph_loss(rng):
     queries = tensor(rng.normal(size=(4, 8)))
     attn, head = attention_init(rng, 8), linear_init(rng, 2, 8)
     feats = nm.reshape(conv_block(image, conv1, conv2), (36, 8))
-    attended, _ = attention(queries, feats, attn)
-    probs = nm.sigmoid(nm.linear(attended, head))
+    probs = nm.sigmoid(nm.linear(attention(queries, feats, attn), head))
     return focal_loss(probs, rng.integers(0, 2, size=(4, 2)).astype(np.float64))
 
 

@@ -146,7 +146,7 @@ class TestDecodeGeneral:
             class_embed=Tensor(np.zeros((2, C))),
             attn=AttentionParams(
                 query=LinearParams(ident, Tensor(np.zeros(C))),
-                key=LinearParams(Tensor(np.eye(C) * 10.0), Tensor(np.zeros(C))),
+                key=Tensor(np.eye(C) * 10.0),
                 value=LinearParams(ident, Tensor(np.zeros(C))),
             ),
             ffn=zeros_ffn(C, 4, C),
@@ -160,14 +160,17 @@ class TestDecodeGeneral:
         np.testing.assert_allclose(out.data[0], peak_value, rtol=1e-6, atol=1e-6)
 
     def test_attention_weights_sum_to_one(self):
+        """One-hot memory rows through an identity value map return the weights themselves."""
         rng = np.random.default_rng(3)
-        X, Y, C = self.dims()
+        C = 8
         from bevkit.layers import attention
 
         q = Tensor(rng.normal(size=(5, C)))
-        mem = Tensor(rng.normal(size=(X * Y, C)))
-        _, weights = attention(q, mem, attention_init(rng, C))
-        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
+        p = attention_init(rng, C)
+        p = AttentionParams(p.query, p.key, LinearParams(Tensor(np.eye(C)), Tensor(np.zeros(C))))
+        weights = attention(q, Tensor(np.eye(C)), p).data
+        assert np.all(weights > 0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -202,7 +205,7 @@ class TestTaskSpecificFeatures:
             return pr.TaskFeatureParams(
                 cam_conv1=conv(c, c_in), cam_conv2=conv(c, c),
                 lidar_conv1=conv(c, c_in), lidar_conv2=conv(c, c),
-                attn=AttentionParams(zeros_linear(c, c), zeros_linear(c, c), zeros_linear(c, c)),
+                attn=AttentionParams(zeros_linear(c, c), Tensor(np.zeros((c, c))), zeros_linear(c, c)),
                 ffn_class=zeros_ffn(c, 8, 2 * c), ffn_box=zeros_ffn(c, 8, 2 * c),
             )
         return pr.TaskFeatureParams(
@@ -285,7 +288,7 @@ class TestTaskSpecificFeatures:
             enc_l.reshape(64, -1)[[1 * 8 + 1, 4 * 8 + 6]],
         ])
         q = tokens @ p.attn.query.weight.data.T + p.attn.query.bias.data
-        k = tokens @ p.attn.key.weight.data.T + p.attn.key.bias.data
+        k = tokens @ p.attn.key.data
         v = tokens @ p.attn.value.weight.data.T + p.attn.value.bias.data
         logits = q @ k.T / np.sqrt(q.shape[1])
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -588,3 +591,12 @@ def test_task_features_error_names_both_shapes():
         r"task features: camera and LiDAR BEV shapes differ \(4, 4, 2\) vs \(5, 4, 2\)"
     )):
         pr.task_specific_features(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((5, 4, 2))), cands, None)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "must be >= 1, got 0"), (2.5, "must be an integer, not float"),
+    (True, "must be an integer, not bool"),
+])
+def test_select_candidates_rejects_a_k_that_is_not_a_positive_integer(k, message):
+    with pytest.raises(ValueError, match=f"select_candidates: k {message}"):
+        pr.select_candidates(np.zeros((4, 4, 2)), k)

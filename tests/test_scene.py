@@ -35,6 +35,14 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="class_count"):
             sc.generate_scene(2, DESK, class_count=class_count)
 
+    @pytest.mark.parametrize("num_boxes, message", [
+        (-1, "must be >= 0, got -1"), (2.5, "must be an integer, not float"),
+        (True, "must be an integer, not bool"),
+    ])
+    def test_num_boxes_must_be_a_non_negative_integer(self, num_boxes, message):
+        with pytest.raises(ValueError, match=f"generate_scene: num_boxes {message}"):
+            sc.generate_scene(num_boxes, DESK, seed=1)
+
     def test_scene_with_class_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="class_count"):
             Scene(boxes=(), seed=0, class_count=-1)
@@ -111,7 +119,8 @@ class TestGenerateScene:
         # independent overlap oracle: exact polygon intersection
         shapely = pytest.importorskip("shapely.geometry")
         scene = sc.generate_scene(5, DESK, seed=7)
-        polys = [shapely.Polygon(b.footprint()) for b in scene.boxes]
+        polys = [shapely.Polygon(sc.footprint_corners(b.center[:2], b.size, b.yaw))
+                 for b in scene.boxes]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 assert polys[i].intersection(polys[j]).area < 1e-12
@@ -119,7 +128,7 @@ class TestGenerateScene:
     def test_boxes_inside_range(self):
         scene = sc.generate_scene(6, DESK, seed=3)
         for b in scene.boxes:
-            fp = b.footprint()
+            fp = sc.footprint_corners(b.center[:2], b.size, b.yaw)
             assert fp[:, 0].min() >= DESK.x_min and fp[:, 0].max() < DESK.x_max
             assert fp[:, 1].min() >= DESK.y_min and fp[:, 1].max() < DESK.y_max
 
@@ -130,7 +139,7 @@ class TestGenerateScene:
 
     def test_footprints_disjoint_overlap_oracle(self):
         scene = sc.generate_scene(5, DESK, seed=7)
-        fps = [b.footprint() for b in scene.boxes]
+        fps = [sc.footprint_corners(b.center[:2], b.size, b.yaw) for b in scene.boxes]
         for i in range(len(fps)):
             for j in range(i + 1, len(fps)):
                 assert oracles.convex_overlap_area(fps[i], fps[j]) < 1e-12
@@ -141,8 +150,10 @@ class TestGenerateScene:
         for _ in range(200):
             a = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
             b = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
-            ours = sc.footprints_overlap(a.footprint(), b.footprint())
-            assert ours == (oracles.convex_overlap_area(a.footprint(), b.footprint()) > 1e-12)
+            fa = sc.footprint_corners(a.center[:2], a.size, a.yaw)
+            fb = sc.footprint_corners(b.center[:2], b.size, b.yaw)
+            ours = sc.footprints_overlap(fa, fb)
+            assert ours == (oracles.convex_overlap_area(fa, fb) > 1e-12)
             overlapping += ours
         assert 0 < overlapping < 200
 
@@ -152,8 +163,10 @@ class TestGenerateScene:
         for _ in range(200):
             a = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
             b = box(rng.uniform(-2, 2, 3) + [0, 0, 3], rng.uniform(0.5, 2, 3), rng.uniform(-3, 3))
-            ours = sc.footprints_overlap(a.footprint(), b.footprint())
-            theirs = shapely.Polygon(a.footprint()).intersection(shapely.Polygon(b.footprint())).area > 1e-12
+            fa = sc.footprint_corners(a.center[:2], a.size, a.yaw)
+            fb = sc.footprint_corners(b.center[:2], b.size, b.yaw)
+            ours = sc.footprints_overlap(fa, fb)
+            theirs = shapely.Polygon(fa).intersection(shapely.Polygon(fb)).area > 1e-12
             assert ours == theirs
 
 
@@ -208,7 +221,8 @@ class TestCirclePreCheck:
         pairs = [(random_box(), random_box()) for _ in range(3000)]
         apart = overlapping = 0
         for a, b in pairs + touching_and_nested_pairs():
-            overlap = sc.footprints_overlap(a.footprint(), b.footprint())
+            overlap = sc.footprints_overlap(sc.footprint_corners(a.center[:2], a.size, a.yaw),
+                                            sc.footprint_corners(b.center[:2], b.size, b.yaw))
             is_apart = sc.circles_apart(*circle_of(a), *circle_of(b))
             assert not (overlap and is_apart)
             apart += is_apart

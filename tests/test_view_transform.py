@@ -966,6 +966,16 @@ def test_upsample_hr_rejects_a_rank_2_feature():
         vt.upsample_hr(Tensor(np.zeros((8, 6))), lin, factor=2)
 
 
+@pytest.mark.parametrize("factor, message", [
+    (0, "must be >= 1, got 0"), (2.5, "must be an integer, not float"),
+    (True, "must be an integer, not bool"),
+])
+def test_upsample_hr_rejects_a_factor_that_is_not_a_positive_integer(factor, message):
+    lin = linear_init(np.random.default_rng(50), 4 * 3, 6)
+    with pytest.raises(ValueError, match=f"upsample_hr: factor {message}"):
+        vt.upsample_hr(Tensor(np.zeros((8, 8, 6))), lin, factor)
+
+
 def test_depth_loss_multi_rejects_unequal_lists():
     gt = vt.DepthGroundTruth(onehot=np.zeros((2, 2, 4)), mask=np.ones((2, 2)))
     dist = Tensor(np.full((2, 2, 4), 0.25))
