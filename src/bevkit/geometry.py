@@ -159,7 +159,8 @@ def project_points(points: np.ndarray, cam: CameraParams):
     in_view requires depth > 1e-6 and (u, v) inside [0, width) x [0, height).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    p_cam = pts @ cam.rotation.T + cam.translation
+    # A C-ordered copy of R^T: pts @ an F-ordered 3x3 is about 3x slower, with the same bits.
+    p_cam = pts @ np.ascontiguousarray(cam.rotation.T) + cam.translation
     z = p_cam[:, 2]
     safe = np.where(np.abs(z) < _Z_EPS, 1.0, z)
     u = cam.fx * p_cam[:, 0] / safe + cam.cx

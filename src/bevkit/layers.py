@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .numerics import DimensionError, LinearParams, Tensor
@@ -60,14 +61,15 @@ def _row_taps(padded: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.n
     [H, W, C] input: operand ky holds row s*oy + ky's k taps per output column, in
     (kx, c) order. All k are views of one tap buffer whose rows are grouped by row
     phase (y mod s), so every operand is a contiguous run of it; the buffer copies
-    each padded row's used columns k times, where im2col copies them k*k times."""
-    c = padded.shape[2]
+    each padded row's used columns k times, where im2col copies them k*k times.
+    In a row-major row, output column ox's taps are the contiguous run of k*C values
+    from s*C*ox, so each phase is one copy from a windowed view of the rows."""
+    h, w, c = padded.shape
+    windows = sliding_window_view(padded.reshape(h, w * c), k * c, axis=1)[:, :: s * c]
     taps = np.empty((min(s, k), (k - 1) // s + oh, ow, k * c))
     for phase in range(len(taps)):
-        src = padded[phase : s * (oh - 1) + k : s]
-        for kx in range(k):
-            columns = src[:, kx : kx + s * (ow - 1) + 1 : s]
-            taps[phase, : len(src), :, kx * c : (kx + 1) * c] = columns
+        src = windows[phase : s * (oh - 1) + k : s]
+        taps[phase, : len(src)] = src
     return [taps[ky % s, ky // s : ky // s + oh].reshape(oh * ow, k * c) for ky in range(k)]
 
 

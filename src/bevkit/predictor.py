@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .geometry import BEVConfig, require_int
@@ -102,7 +101,9 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     cls = h.argmax(axis=2)
     padded = np.full((X + 2, Y + 2), -np.inf)
     padded[1:-1, 1:-1] = score
-    eligible = score >= sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
+    # The 3x3 window max as two separable passes of three shifted slices each.
+    rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    eligible = score >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     gx, gy = np.nonzero(eligible)
     sc = score[gx, gy]
     cl = cls[gx, gy]

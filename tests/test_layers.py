@@ -21,6 +21,7 @@ from bevkit.layers import (
     conv_block,
     conv_block_at,
     conv_init,
+    _row_taps,
 )
 from bevkit.numerics import DimensionError, LinearParams, Tape, Tensor, backward, finite_diff_check
 
@@ -170,6 +171,39 @@ def test_forward_matches_oracle_when_stride_and_kernel_differ(k, stride, pad):
     x, p, _ = conv_case(k, stride, pad, (9, 7, 3))
     expected = oracles.conv2d_oracle(x.data, p.lin.weight.data, p.lin.bias.data, k, stride, pad)
     assert np.max(np.abs(conv2d(x, p).data - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["contiguous", "sliced"])
+def test_row_taps_match_a_per_tap_loop(sliced):
+    """Operand ky, row oy * ow + ox, holds padded[s*oy + ky, s*ox + kx, c] at column
+    kx*C + c, for kernels 1-4, strides 1-3 and pads 0-2; the sliced source is a window
+    of a larger array, as the input gradient's is."""
+    rng = np.random.default_rng(3)
+    h, w, c = 7, 6, 2
+    for k in range(1, 5):
+        for s in range(1, 4):
+            for pad in range(3):
+                hp, wp = h + 2 * pad, w + 2 * pad
+                oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+                if oh < 1 or ow < 1:
+                    continue
+                padded = np.pad(rng.normal(size=(h, w, c)), ((pad, pad), (pad, pad), (0, 0)))
+                if sliced:
+                    outer = np.zeros((hp + 3, wp + 4, c))
+                    outer[2 : 2 + hp, 1 : 1 + wp] = padded
+                    padded = outer[2 : 2 + hp, 1 : 1 + wp]
+                    assert not padded.flags.c_contiguous
+                operands = _row_taps(padded, k, s, oh, ow)
+                assert len(operands) == k
+                for ky, rows in enumerate(operands):
+                    expected = np.empty((oh * ow, k * c))
+                    for oy in range(oh):
+                        for ox in range(ow):
+                            for kx in range(k):
+                                expected[oy * ow + ox, kx * c : (kx + 1) * c] = (
+                                    padded[s * oy + ky, s * ox + kx]
+                                )
+                    assert np.array_equal(rows, expected), (k, s, pad, ky)
 
 
 def test_conv2d_builds_no_patch_matrix():

@@ -99,6 +99,26 @@ class TestSelectCandidates:
         assert cands.k >= 1
         assert tuple(cands.cells[0]) == (1, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_eligible_cells_match_a_per_cell_loop(self, seed):
+        """Every eligible cell (k covers the grid) against an explicit 3x3 neighbour loop,
+        on a heatmap quantized to four levels: plateaus, tied neighbours and peaks on the
+        border and in the corners."""
+        rng = np.random.default_rng(seed)
+        h = rng.integers(0, 4, size=(9, 7, 2)).astype(np.float64) / 4.0
+        h[0, 0] = h[-1, 3] = h[4, -1] = 1.0
+        score = h.max(axis=2)
+        expected = set()
+        for gx in range(9):
+            for gy in range(7):
+                around = [score[nx, ny] for nx in range(max(gx - 1, 0), min(gx + 2, 9))
+                          for ny in range(max(gy - 1, 0), min(gy + 2, 7))]
+                if score[gx, gy] >= max(around):
+                    expected.add((gx, gy))
+        cands = pr.select_candidates(h, 9 * 7)
+        assert {(int(gx), int(gy)) for gx, gy in cands.cells} == expected
+        assert {(0, 0), (8, 3), (4, 6)} <= expected and len(expected) < 9 * 7
+
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(40)
         cands = pr.select_candidates(rng.uniform(size=(16, 16, 3)), 12)
