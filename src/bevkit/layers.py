@@ -3,12 +3,15 @@
 conv2d is one tape op and builds no im2col matrix. Its forward is k GEMMs,
 one per kernel row, over a row-tap buffer that holds each padded row's k
 horizontal taps per output column (a third of im2col's bytes at k = 3),
-against the matching column block of the weight. Its VJP rebuilds that
-buffer from the padded input the node keeps: the weight gradient is k GEMMs
-over the same operands, and the input gradient is a transposed conv, the
-stride-dilated, padded output gradient through the same k-GEMM kernel with
-the flipped weight. Forward and VJP add in another order than one patch
-GEMM would, so they match a patch-matrix conv to rounding.
+against the matching column block of the weight. In a row-major row an
+output column's taps are one contiguous run of k*C values, so the buffer
+is one copy per row phase from a sliding-window view of the rows. Its VJP
+rebuilds that buffer from the padded input the node keeps: the weight
+gradient is k GEMMs over the same operands, and the input gradient is a
+transposed conv, the stride-dilated, padded output gradient through the
+same k-GEMM kernel with the flipped weight. Forward and VJP add in another
+order than one patch GEMM would, so they match a patch-matrix conv to
+rounding.
 conv_block_at computes conv_block at a few cells from their receptive field
 only. binary_log_loss is one tape op too, with a closed-form VJP. Every other
 block composes numerics ops, so all of them share one tape with the model.

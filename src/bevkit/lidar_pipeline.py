@@ -21,12 +21,21 @@ column on a face); none tie in z. The sums are numerics._column_sums over
 the rows in that order, one bincount per column.
 
 The voxel encoder is layers.ffn, a shared two-layer perceptron applied to
-each occupied voxel's mean point feature; empty voxels stay zero. Compression
-concatenates the z slices channel-wise and applies one affine projection.
+each occupied voxel's mean point feature. encode_voxels returns those rows
+only, as VoxelFeatures; no dense [X, Y, Z, C] middle is built. Compression
+concatenates a cell's z slices channel-wise and applies one affine
+projection. An empty voxel is zero, so the projection runs on pillars, as in
+PointPillars (Lang et al., 2019): each voxel goes to its z slot in its (x, y)
+column's row, only the P occupied columns and one zero row are projected,
+and each BEV cell gathers its column's row; an empty cell reads the zero
+row's projection, the bias. One GEMM over the pillar rows adds in another
+order than a GEMM per grid row would, so the BEV matches a dense
+reshape-and-project to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,29 +150,59 @@ def voxelize(pc, cfg: VoxelConfig) -> VoxelGrid:
 VoxelEncoderParams = FfnParams  # hidden 5 -> h, out h -> C_m
 
 
-def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> Tensor:
-    """Dense middle feature [X, Y, Z, C_m]; empty voxels are zero."""
-    X, Y, Z = vg.cfg.counts
-    c_m = params.out.out_dim
+@dataclass(frozen=True)
+class VoxelFeatures:
+    """Encodings of the occupied voxels: features [V, C_m], row v for grid.occupied[v]."""
+
+    grid: VoxelGrid
+    features: Tensor
+
+    def __post_init__(self):
+        if self.features.ndim != 2 or self.features.shape[0] != len(self.grid.occupied):
+            raise DimensionError(
+                f"VoxelFeatures: features {self.features.shape} must be [V, C] with one row "
+                f"for each of the grid's {len(self.grid.occupied)} occupied voxels"
+            )
+
+
+def encode_voxels(vg: VoxelGrid, params: VoxelEncoderParams) -> VoxelFeatures:
+    """The encoder on each occupied voxel's mean point feature: [V, C_m] rows."""
     if params.hidden.in_dim != 5:
         raise DimensionError("voxel encoder expects 5 input features")
-    if 8 * X * Y * Z * c_m > 1 << 30:
+    return VoxelFeatures(vg, ffn(vg.means, params))
+
+
+def compress_z(vf: VoxelFeatures, proj: LinearParams) -> Tensor:
+    """LiDAR BEV [X, Y, C_l]: each cell's z slices concatenated along channels, projected.
+
+    Only occupied pillars are projected: each voxel goes to z slot iz of its pillar's
+    row in [(P + 1) * Z, C_m], rows are [P + 1, Z * C_m] after one reshape, and one
+    linear maps them. Every cell gathers its pillar's row, and an empty cell the last
+    row, whose slots stay zero, so it reads the bias. Arrays over 1 GiB are rejected
+    before they are allocated.
+    """
+    X, Y, Z = vf.grid.cfg.counts
+    c_m = vf.features.shape[1]
+    if proj.in_dim != Z * c_m:
+        raise DimensionError(f"z projection expects {Z * c_m} inputs, has {proj.in_dim}")
+    _check_bytes("output", [X, Y, proj.out_dim])
+    ix, iy, iz = vf.grid.occupied.T
+    column = ix * Y + iy
+    lit = np.zeros(X * Y, dtype=bool)
+    lit[column] = True
+    pillars = np.flatnonzero(lit)
+    p = len(pillars)
+    _check_bytes("slot array", [(p + 1) * Z, c_m])
+    row = np.full(X * Y, p)  # pillar row of each cell; empty cells read the zero row p
+    row[pillars] = np.arange(p)
+    slots = nm.scatter_add(vf.features, row[column] * Z + iz, (p + 1) * Z)
+    projected = nm.linear(nm.reshape(slots, (p + 1, Z * c_m)), proj)
+    return nm.gather_rows(projected, row.reshape(X, Y))
+
+
+def _check_bytes(what: str, shape: list[int]) -> None:
+    size = 8 * math.prod(shape)
+    if size > 1 << 30:
         raise DimensionError(
-            f"encode_voxels: dense middle tensor {[X, Y, Z, c_m]} needs {8 * X * Y * Z * c_m:,} "
-            "bytes, over the 1 GiB limit"
+            f"compress_z: {what} {shape} needs {size:,} bytes, over the 1 GiB limit"
         )
-    flat_idx = np.ravel_multi_index(vg.occupied.T, (X, Y, Z))
-    encoded = ffn(vg.means, params)
-    dense = nm.scatter_add(encoded, flat_idx, X * Y * Z)
-    return nm.reshape(dense, (X, Y, Z, c_m))
-
-
-def compress_z(m: Tensor, proj: LinearParams) -> Tensor:
-    """Concatenate z slices along channels, project to [X, Y, C_l]."""
-    if m.ndim != 4:
-        raise DimensionError("compress_z expects [X, Y, Z, C]")
-    X, Y, Z, C = m.shape
-    if proj.in_dim != Z * C:
-        raise DimensionError(f"z projection expects {Z * C} inputs, has {proj.in_dim}")
-    stacked = nm.reshape(m, (X, Y, Z * C))
-    return nm.linear(stacked, proj)

@@ -311,15 +311,21 @@ def _int_index(op: str, idx) -> np.ndarray:
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows (axis 0) by an integer index array; repeats allowed."""
+    """Select rows (axis 0) by an integer index array of any shape; repeats allowed.
+
+    The output is [*idx.shape, *x.shape[1:]], so a 2-D index of rows lands on a grid.
+    """
     idx = _int_index("gather_rows", idx)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows: index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError("gather_rows: index out of range")
-    rows = x.shape[0]
+    rows, flat = x.shape[0], idx.ravel()
+    flat_shape = flat.shape + x.shape[1:]
     return _emit(
-        "gather_rows", (x,), x.data[idx], (idx,), lambda g: (_segment_sum(g, idx, rows),)
+        "gather_rows",
+        (x,),
+        x.data[idx],
+        (idx,),
+        lambda g: (_segment_sum(g.reshape(flat_shape), flat, rows),),
     )
 
 

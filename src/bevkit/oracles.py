@@ -137,6 +137,38 @@ def voxel_means_oracle(points: np.ndarray, cfg):
     )
 
 
+def dense_lidar_bev_oracle(occupied, means, counts, weights, g):
+    """(bev [X, Y, C_l], gradients) of the LiDAR branch through a dense middle tensor.
+
+    occupied [V, 3] and means [V, 5] are the grid's voxels, counts its (X, Y, Z);
+    weights is (w1, b1, w2, b2, wp, bp): the encoder's hidden and output layers, then
+    the z projection. Every voxel is encoded and written into a zero [X, Y, Z, C_m]
+    middle, whose z slices are concatenated and projected. The gradients, of
+    sum(bev * g) with respect to the six weights in order, are derived by hand.
+    """
+    w1, b1, w2, b2, wp, bp = weights
+    X, Y, Z = counts
+    pre = means @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    encoded = hidden @ w2.T + b2
+    middle = np.zeros((X, Y, Z, w2.shape[0]))
+    for (ix, iy, iz), row in zip(np.asarray(occupied).tolist(), encoded):
+        middle[ix, iy, iz] += row
+    stacked = middle.reshape(X * Y, -1)
+    bev = stacked @ wp.T + bp
+    g2 = np.asarray(g).reshape(X * Y, -1)
+    d_middle = (g2 @ wp).reshape(middle.shape)
+    d_encoded = np.array([d_middle[ix, iy, iz] for ix, iy, iz in np.asarray(occupied).tolist()])
+    d_encoded = d_encoded.reshape(len(encoded), -1)
+    d_pre = (d_encoded @ w2) * (pre > 0)
+    grads = (
+        d_pre.T @ means, d_pre.sum(axis=0),
+        d_encoded.T @ hidden, d_encoded.sum(axis=0),
+        g2.T @ stacked, g2.sum(axis=0),
+    )
+    return bev.reshape(X, Y, -1), grads
+
+
 def convex_overlap_area(a, b) -> float:
     """Area shared by two convex polygons [k, 2] of either winding: Sutherland-Hodgman
     clips a by each edge of b in turn, and the shoelace formula measures what is left."""

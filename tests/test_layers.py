@@ -392,6 +392,20 @@ class TestSegmentSum:
             backward(tape, nm.sum(nm.mul(y, Tensor(g))))
         assert np.array_equal(tape.grad(x).data, self.loop_sum(g, 6))
 
+    def test_gather_rows_with_a_grid_index(self):
+        """A [2, 5] index gives [2, 5, ...] rows; the VJP sums them back in the order of
+        the raveled index, as for the 1-D index."""
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(6, 3)))
+        grid = self.IDX.reshape(2, 5)
+        g = spread(rng, (2, 5, 3))
+        with Tape() as tape:
+            y = nm.gather_rows(x, grid)
+            backward(tape, nm.sum(nm.mul(y, Tensor(g))))
+        assert y.shape == (2, 5, 3)
+        assert np.array_equal(y.data, x.data[grid])
+        assert np.array_equal(tape.grad(x).data, self.loop_sum(g.reshape(10, 3), 6))
+
     def test_empty_index_gives_float_zeros(self):
         empty = np.zeros(0, dtype=np.int64)
         out = nm.scatter_add(Tensor(np.zeros((0, 2, 3))), empty, 4)

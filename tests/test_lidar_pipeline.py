@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,13 +40,29 @@ class TestVoxelConfig:
             lp.VoxelConfig(size=(0.001, 0.001, 0.001), x_min=0, x_max=100,
                            y_min=0, y_max=100, z_min=0, z_max=100)
 
-    def test_full_scale_dense_middle_rejected_before_allocating(self):
+    def test_full_scale_encoding_holds_only_the_occupied_voxels(self):
+        """No [1440, 1440, 40, 8] middle (5.3 GB) is built: one point, one feature row."""
         start = time.perf_counter()
         vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0]]), lp.full_scale_voxel_config())
-        message = r"\[1440, 1440, 40, 8\] needs 5,308,416,000 bytes"
-        with pytest.raises(nm.DimensionError, match=message):
-            lp.encode_voxels(vg, encoder(np.random.default_rng(0), c_m=8))
+        vf = lp.encode_voxels(vg, encoder(np.random.default_rng(0), c_m=8))
+        assert vf.features.shape == (1, 8) and vf.grid is vg
         assert time.perf_counter() - start < 1.0
+
+    def test_full_scale_bev_over_the_limit_rejected_before_allocating(self):
+        """A 1440 x 1440 BEV of 65 channels needs 1,078,272,000 bytes, over 1 GiB."""
+        vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0]]), lp.full_scale_voxel_config())
+        rng = np.random.default_rng(0)
+        vf = lp.encode_voxels(vg, encoder(rng, c_m=2))
+        proj = linear_init(rng, 65, 40 * 2)
+        message = r"compress_z: output \[1440, 1440, 65\] needs 1,078,272,000 bytes, over the 1 GiB"
+        tracemalloc.start()
+        try:
+            with pytest.raises(nm.DimensionError, match=message):
+                lp.compress_z(vf, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestVoxelize:
@@ -101,9 +118,13 @@ class TestVoxelize:
         assert vg.occupied.shape == (0, 3)
         assert vg.means.shape == (0, 5)
         assert vg.counts.shape == (0,)
-        m = lp.encode_voxels(vg, encoder(np.random.default_rng(0)))
-        assert m.shape == (32, 32, 8, 6)
-        assert np.all(m.data == 0.0)
+        rng = np.random.default_rng(0)
+        vf = lp.encode_voxels(vg, encoder(rng))
+        assert vf.features.shape == (0, 6)
+        proj = LinearParams(Tensor(rng.normal(size=(4, 8 * 6))), Tensor(rng.normal(size=4)))
+        bev = lp.compress_z(vf, proj)
+        assert bev.shape == (32, 32, 4)
+        assert np.array_equal(bev.data, np.broadcast_to(proj.bias.data, (32, 32, 4)))
 
     def test_means_match_one_at_a_time_loop_in_canonical_order(self):
         rng = np.random.default_rng(10)
@@ -204,18 +225,24 @@ class TestEncodeVoxels:
     def test_empty_grid(self):
         rng = np.random.default_rng(0)
         vg = lp.voxelize(cloud(np.zeros((0, 5))), DESK)
-        m = lp.encode_voxels(vg, encoder(rng))
-        assert m.shape == (32, 32, 8, 6)
-        assert np.all(m.data == 0.0)
+        vf = lp.encode_voxels(vg, encoder(rng))
+        assert vf.grid is vg
+        assert vf.features.shape == (0, 6)
 
     def test_single_voxel_locality(self):
+        """Each row depends on its own voxel only: moving a point inside one voxel
+        changes that voxel's row and leaves every other row bit for bit."""
         rng = np.random.default_rng(1)
-        vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0]]), DESK)
-        m = lp.encode_voxels(vg, encoder(rng))
-        nonzero = np.argwhere(np.abs(m.data).sum(axis=3) > 0)
-        assert len(nonzero) == 1
-        (key,) = vg.occupied.tolist()
-        assert nonzero[0].tolist() == key
+        p = encoder(rng)
+        near = [[0.1, 0.1, 0.1, 1.0, 0.0], [-3.2, 5.0, 1.3, 0.5, 0.2], [7.9, -7.9, 2.7, 2.0, 0.1]]
+        moved = [near[0], [-3.1, 5.1, 1.4, 0.7, 0.3], near[2]]
+        a = lp.encode_voxels(lp.voxelize(cloud(near), DESK), p)
+        b = lp.encode_voxels(lp.voxelize(cloud(moved), DESK), p)
+        assert np.array_equal(a.grid.occupied, b.grid.occupied)
+        differs = np.any(a.features.data != b.features.data, axis=1)
+        moved_voxel = lp.voxelize(cloud([moved[1]]), DESK).occupied[0]
+        assert differs.tolist() == np.all(a.grid.occupied == moved_voxel, axis=1).tolist()
+        assert differs.sum() == 1
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -225,22 +252,30 @@ class TestEncodeVoxels:
         )
         vg = lp.voxelize(cloud(pts), DESK)
         p = encoder(rng)
-        m = lp.encode_voxels(vg, p)
+        vf = lp.encode_voxels(vg, p)
         w1, b1 = p.hidden.weight.data, p.hidden.bias.data
         w2, b2 = p.out.weight.data, p.out.bias.data
-        for key, feat in zip(vg.occupied.tolist(), vg.means):
+        assert vf.features.shape == (len(vg.occupied), 6)
+        for row, feat in zip(vf.features.data, vg.means):
             h = np.maximum(0.0, w1 @ feat + b1)
             expected = w2 @ h + b2
-            np.testing.assert_allclose(m.data[tuple(key)], expected, atol=1e-12)
+            np.testing.assert_allclose(row, expected, atol=1e-12)
+
+    def test_features_must_align_with_the_grid(self):
+        vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0]]), DESK)
+        with pytest.raises(nm.DimensionError, match=r"features \(2, 6\) must be \[V, C\] .* 1 occ"):
+            lp.VoxelFeatures(vg, Tensor(np.zeros((2, 6))))
 
 
 class TestCompressZ:
     def test_zero_in_zero_out(self):
-        proj = linear_init(np.random.default_rng(0), 4, 8 * 6)
-        m = Tensor(np.zeros((32, 32, 8, 6)))
-        out = lp.compress_z(m, proj)
+        """Zero encodings give the bias in every cell, occupied or not."""
+        rng = np.random.default_rng(0)
+        vg = lp.voxelize(cloud([[0.1, 0.1, 0.1, 1.0, 0.0], [1.3, -2.2, 0.5, 1.0, 0.0]]), DESK)
+        proj = LinearParams(Tensor(rng.normal(size=(4, 8 * 6))), Tensor(rng.normal(size=4)))
+        out = lp.compress_z(lp.VoxelFeatures(vg, Tensor(np.zeros((2, 6)))), proj)
         assert out.shape == (32, 32, 4)
-        assert np.all(out.data == 0.0)
+        assert np.array_equal(out.data, np.broadcast_to(proj.bias.data, (32, 32, 4)))
 
     def test_single_voxel_single_cell(self):
         rng = np.random.default_rng(3)
@@ -255,11 +290,20 @@ class TestCompressZ:
         assert len(nz) == 1 and nz[0].tolist() == key[:2]
 
     def test_matches_reshape_matmul_oracle(self):
+        """Random voxels on a 4 x 5 x 3 grid, several per pillar, against the dense
+        middle's reshape and matmul."""
         rng = np.random.default_rng(5)
-        m_arr = rng.normal(size=(4, 5, 3, 2))
-        proj = linear_init(rng, 7, 6)
-        out = lp.compress_z(Tensor(m_arr), proj)
-        expected = m_arr.reshape(4, 5, 6) @ proj.weight.data.T + proj.bias.data
+        cfg = lp.VoxelConfig(size=(1.0, 1.0, 1.0), x_min=0, x_max=4, y_min=0, y_max=5,
+                             z_min=0, z_max=3)
+        pts = np.concatenate([rng.uniform(0, 1, size=(25, 3)) * [4, 5, 3],
+                              rng.uniform(0, 1, size=(25, 2))], axis=1)
+        vg = lp.voxelize(cloud(pts), cfg)
+        p, proj = encoder(rng, c_m=2), linear_init(rng, 7, 6)
+        out = lp.compress_z(lp.encode_voxels(vg, p), proj)
+        expected, _ = oracles.dense_lidar_bev_oracle(
+            vg.occupied, vg.means, cfg.counts, weights(p, proj), np.zeros((4, 5, 7))
+        )
+        assert len({tuple(k[:2]) for k in vg.occupied.tolist()}) < len(vg.occupied) < 60
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_locality_invariant(self):
@@ -287,6 +331,69 @@ class TestCompressZ:
         shuffled = pts[rng.permutation(60)]
         b = lp.compress_z(lp.encode_voxels(lp.voxelize(cloud(shuffled), DESK), p), proj)
         assert np.array_equal(a.data, b.data)
+
+
+def weights(p, proj):
+    """(w1, b1, w2, b2, wp, bp) as arrays, dense_lidar_bev_oracle's order."""
+    return tuple(t.data for lin in (p.hidden, p.out, proj) for t in (lin.weight, lin.bias))
+
+
+def dense_sweep(seed):
+    """An infer_dense_lidar sweep: 16 boxes, 32 beams x 1024 azimuths (about 31k points)."""
+    scene = sc.generate_scene(16, geo.desk_bev_config(), seed=seed)
+    return sc.lidar_scan(scene, sc.default_lidar_origin(), 1024, sc.default_elevations(32))
+
+
+@pytest.mark.parametrize("cfg, scan", [(DESK, sweep), (DENSE, dense_sweep)], ids=["desk", "dense"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bev_and_gradients_match_the_dense_oracle(seed, cfg, scan):
+    """The pillar path against a dense middle, on the training and the dense LiDAR
+    sweeps: the BEV within 1e-12 of its largest |entry|, and the six parameter gradients
+    of sum(bev * g) within 1e-12 of the largest gradient entry."""
+    rng = np.random.default_rng(seed)
+    vg = lp.voxelize(scan(seed), cfg)
+    c_l = 16
+    p, proj = encoder(rng, c_m=8, hidden=16), linear_init(rng, c_l, cfg.counts[2] * 8)
+    proj = LinearParams(proj.weight, Tensor(rng.normal(size=c_l)))
+    g = rng.normal(size=cfg.counts[:2] + (c_l,))
+    with nm.Tape() as tape:
+        bev = lp.compress_z(lp.encode_voxels(vg, p), proj)
+        nm.backward(tape, nm.sum(nm.mul(bev, g)))
+    expected, expected_grads = oracles.dense_lidar_bev_oracle(
+        vg.occupied, vg.means, cfg.counts, weights(p, proj), g
+    )
+    assert np.abs(bev.data - expected).max() <= 1e-12 * np.abs(expected).max()
+    params = [t for lin in (p.hidden, p.out, proj) for t in (lin.weight, lin.bias)]
+    largest = max(np.abs(e).max() for e in expected_grads)
+    for t, e in zip(params, expected_grads):
+        assert np.abs(tape.grad(t).data - e).max() <= 1e-12 * largest
+
+
+def test_lidar_branch_peak_memory_at_dense_scale():
+    """compress_z(encode_voxels(...)) on a 64 x 64 x 16 grid (C_m 8, C_l 16) holds no
+    [64, 64, 16, 8] middle (4.2 MB). Measured 2.29 MB forward and 2.10 MB backward;
+    the dense middle took 5.31 and 5.26."""
+    rng = np.random.default_rng(3)
+    vg = lp.voxelize(dense_sweep(3), DENSE)
+    p, proj = encoder(rng, c_m=8, hidden=16), linear_init(rng, 16, 16 * 8)
+    g = rng.normal(size=(64, 64, 16))
+    assert len(vg.occupied) > 1500
+    with nm.Tape() as tape:
+        tracemalloc.start()
+        try:
+            bev = lp.compress_z(lp.encode_voxels(vg, p), proj)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        loss = nm.sum(nm.mul(bev, g))
+        tracemalloc.start()
+        try:
+            nm.backward(tape, loss)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert forward_peak < 3.5e6
+    assert backward_peak < 3.5e6
 
 
 def test_gradients_flow_to_encoder_params():
