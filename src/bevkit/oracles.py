@@ -148,18 +148,18 @@ def dense_lidar_bev_oracle(occupied, means, counts, weights, g):
     """
     w1, b1, w2, b2, wp, bp = weights
     X, Y, Z = counts
+    voxels = [tuple(key) for key in np.asarray(occupied).tolist()]
     pre = means @ w1.T + b1
     hidden = np.maximum(pre, 0.0)
     encoded = hidden @ w2.T + b2
     middle = np.zeros((X, Y, Z, w2.shape[0]))
-    for (ix, iy, iz), row in zip(np.asarray(occupied).tolist(), encoded):
-        middle[ix, iy, iz] += row
+    for key, row in zip(voxels, encoded):
+        middle[key] += row
     stacked = middle.reshape(X * Y, -1)
     bev = stacked @ wp.T + bp
     g2 = np.asarray(g).reshape(X * Y, -1)
     d_middle = (g2 @ wp).reshape(middle.shape)
-    d_encoded = np.array([d_middle[ix, iy, iz] for ix, iy, iz in np.asarray(occupied).tolist()])
-    d_encoded = d_encoded.reshape(len(encoded), -1)
+    d_encoded = np.array([d_middle[key] for key in voxels]).reshape(encoded.shape)
     d_pre = (d_encoded @ w2) * (pre > 0)
     grads = (
         d_pre.T @ means, d_pre.sum(axis=0),
