@@ -9,8 +9,10 @@ Conventions used throughout the package:
     out-of-view or out-of-range entry is flagged False in its boolean mask
     (index -1 where the rule returns one), never an error.
 
-Value types check their fields once, at construction: require_finite and require_int name
-the owner and field at fault, and freeze gives each array field a read-only float64 copy.
+Value types check their fields once, at construction: require_finite names the owner and
+field at fault, require_int the owner, field, value and bound, and freeze gives each array
+field a read-only float64 copy. DimensionError, the package's error for a size, count, index
+or shape that breaks a contract, lives here, so the simulator raises it without the tape.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ def require_finite(config) -> None:
             raise ValueError(f"{owner}: {name} must be finite, got {value}")
 
 
-def require_int(owner: str, **fields) -> None:
-    """Raise a ValueError naming the owner, field and type of the first non-integer value."""
+class DimensionError(ValueError):
+    """A size, count, index or shape breaks a contract."""
+
+
+def require_int(owner: str, low: int, **fields) -> None:
+    """Raise a DimensionError for the first field that is not an integer >= low, naming the
+    owner, the field and its type (a bool or a non-integer) or its value and the bound."""
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{owner}: {name} must be an integer, not {type(value).__name__}")
+            raise DimensionError(f"{owner}: {name} must be an integer, not {type(value).__name__}")
+        if value < low:
+            raise DimensionError(f"{owner}: {name} must be >= {low}, got {value!r}")
 
 
 def freeze(obj, *names) -> tuple[np.ndarray, ...]:
@@ -67,9 +76,7 @@ class CameraParams:
             raise ValueError("fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-        require_int("CameraParams", width=self.width, height=self.height)
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
+        require_int("CameraParams", 1, width=self.width, height=self.height)
         R, t = freeze(self, "rotation", "translation")
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose must be a 3x3 rotation and a 3-vector")
@@ -98,9 +105,9 @@ class DepthBins:
 
     def __post_init__(self):
         require_finite(self)
-        require_int("DepthBins", count=self.count)
-        if self.d_min <= 0 or self.d_max <= self.d_min or self.count < 1:
-            raise ValueError("need 0 < d_min < d_max and count >= 1")
+        require_int("DepthBins", 1, count=self.count)
+        if self.d_min <= 0 or self.d_max <= self.d_min:
+            raise ValueError("need 0 < d_min < d_max")
 
     @property
     def delta(self) -> float:
@@ -120,9 +127,9 @@ class BEVConfig:
 
     def __post_init__(self):
         require_finite(self)
-        require_int("BEVConfig", n=self.n)
-        if self.x_max <= self.x_min or self.y_max <= self.y_min or self.n < 1:
-            raise ValueError("need x_max > x_min, y_max > y_min, n >= 1")
+        require_int("BEVConfig", 1, n=self.n)
+        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+            raise ValueError("need x_max > x_min and y_max > y_min")
 
     @property
     def cell_w(self) -> float:

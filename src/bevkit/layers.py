@@ -27,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
+from .geometry import require_int
 from .numerics import DimensionError, LinearParams, Tensor
 
 PROB_FLOOR = 1e-7  # binary_log_loss, the losses' one rule, clamps p to [PROB_FLOOR, 1 - PROB_FLOOR]
@@ -42,12 +43,8 @@ class Conv2dParams:
     pad: int
 
     def __post_init__(self):
-        for name, low in (("kernel", 1), ("stride", 1), ("pad", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise DimensionError(
-                    f"Conv2dParams: {name} must be an integer >= {low}, got {value!r}"
-                )
+        require_int("Conv2dParams", 1, kernel=self.kernel, stride=self.stride)
+        require_int("Conv2dParams", 0, pad=self.pad)
         if self.lin.in_dim % (self.kernel * self.kernel):
             raise DimensionError(
                 f"Conv2dParams: lin.in_dim {self.lin.in_dim} is not a multiple of "

@@ -13,10 +13,10 @@ checked for NaN/Inf and dropped once the node that produced it has read it.
 
 An operand of add, sub or mul that is not a Tensor is a constant: a number,
 or a float64 array of exactly the other operand's shape (no broadcasting; a
-mismatch raises DimensionError naming both shapes). The input of linear may
-be a constant array too. A constant is no tape input and gets no gradient,
-so targets, masks, weights and sensor data never reach the tape or
-backward().
+mismatch raises DimensionError, the package's shape error from geometry,
+naming both shapes). The input of linear may be a constant array too. A
+constant is no tape input and gets no gradient, so targets, masks, weights
+and sensor data never reach the tape or backward().
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import freeze
+from .geometry import DimensionError, freeze
 
 # Ops that only move, select or zero input values, so their outputs skip the NaN/Inf scan.
 _FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu"})
@@ -37,10 +37,6 @@ _FINITE_OPS = frozenset({"reshape", "permute", "gather_rows", "concat", "relu"})
 
 class NumericError(ArithmeticError):
     """An operation produced or received non-finite values."""
-
-
-class DimensionError(ValueError):
-    """Operand shapes violate an operation's contract."""
 
 
 _tensor_ids = itertools.count(1)
@@ -398,18 +394,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _emit("relu", (x,), np.where(mask, x.data, 0.0), (), lambda g: (g * mask,))
-
-
-def sum(x: Tensor, axis=None) -> Tensor:  # noqa: A001 - mirrors the primitive name
-    out = x.data.sum(axis=axis)
-    shape = x.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _emit("sum", (x,), out, (axis,), vjp)
 
 
 def mean(x: Tensor) -> Tensor:

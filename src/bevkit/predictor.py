@@ -86,9 +86,7 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     constant plateau makes every cell eligible). Ties in score break by
     (gx, gy, class), lexicographically smallest first.
     """
-    require_int("select_candidates", k=k)
-    if k < 1:
-        raise ValueError(f"select_candidates: k must be >= 1, got {k}")
+    require_int("select_candidates", 1, k=k)
     h = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
     if h.ndim != 3 or 0 in h.shape:
         raise DimensionError(
@@ -97,8 +95,8 @@ def select_candidates(heatmap, k: int) -> CandidateSet:
     if not isinstance(heatmap, Tensor) and not np.isfinite(h).all():  # a Tensor is finite
         raise NumericError("select_candidates: heatmap contains NaN or Inf")
     X, Y, _ = h.shape
-    score = h.max(axis=2)
     cls = h.argmax(axis=2)
+    score = np.take_along_axis(h, cls[..., None], axis=2)[..., 0]
     padded = np.full((X + 2, Y + 2), -np.inf)
     padded[1:-1, 1:-1] = score
     # The 3x3 window max as two separable passes of three shifted slices each.

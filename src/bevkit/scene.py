@@ -68,9 +68,7 @@ class ObjectBox:
             raise ValueError("box center, size, velocity and yaw must be finite")
         if np.any(s <= 0):
             raise ValueError("box sizes must be positive")
-        require_int("ObjectBox", class_id=self.class_id)
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
+        require_int("ObjectBox", 0, class_id=self.class_id)
 
 
 def footprint_corners(center_xy, size, yaw: float) -> np.ndarray:
@@ -88,9 +86,8 @@ class Scene:
     class_count: int = 10
 
     def __post_init__(self):
-        require_int("Scene", seed=self.seed, class_count=self.class_count)
-        if self.class_count < 1:
-            raise ValueError(f"class_count must be >= 1, got {self.class_count}")
+        require_int("Scene", 0, seed=self.seed)
+        require_int("Scene", 1, class_count=self.class_count)
         for i, box in enumerate(self.boxes):
             if box.class_id >= self.class_count:
                 raise ValueError(
@@ -147,9 +144,7 @@ def generate_scene(num_boxes: int, bev_cfg: BEVConfig, class_count: int = 10, se
     footprint is computed once, and the separating-axis test runs only on
     pairs whose bounding circles meet, which cannot change the outcome.
     """
-    require_int("generate_scene", num_boxes=num_boxes)
-    if num_boxes < 0:
-        raise ValueError(f"generate_scene: num_boxes must be >= 0, got {num_boxes}")
+    require_int("generate_scene", 0, num_boxes=num_boxes)
     Scene((), seed, class_count)  # checks seed and class_count before any draw
     rng = np.random.default_rng(np.random.PCG64(seed))
     boxes: list[ObjectBox] = []
@@ -334,9 +329,7 @@ def lidar_scan(
         )
     if origin[2] <= 0:
         raise ValueError("LiDAR origin must be above the ground plane")
-    require_int("lidar_scan", azimuth_count=azimuth_count)
-    if azimuth_count < 1:
-        raise ValueError(f"azimuth_count must be a positive integer, got {azimuth_count!r}")
+    require_int("lidar_scan", 1, azimuth_count=azimuth_count)
     elevations = np.asarray(elevation_angles, dtype=np.float64)
     if elevations.ndim != 1:
         raise ValueError(f"elevation_angles must be 1-D, got shape {elevations.shape}")
@@ -368,8 +361,7 @@ def render_camera(scene: Scene, cam: CameraParams, channels: int):
     normal is (so box faces are distinguishable from each other and from
     ground).
     """
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
+    require_int("render_camera", 1, channels=channels)
     h, w = cam.height, cam.width
     u, v = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     d_cam = np.stack(

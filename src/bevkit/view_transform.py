@@ -87,9 +87,7 @@ def upsample_hr(lr_feat: Tensor, params: LinearParams, factor: int) -> Tensor:
     shuffle: with kernel == stride there is no overlap, so this is the exact
     transposed-convolution equivalent.
     """
-    require_int("upsample_hr", factor=factor)
-    if factor < 1:
-        raise ValueError(f"upsample_hr: factor must be >= 1, got {factor}")
+    require_int("upsample_hr", 1, factor=factor)
     if lr_feat.ndim != 3:
         raise DimensionError(f"upsample_hr: LR feature {lr_feat.shape} is not [H, W, C]")
     h, w, c = lr_feat.shape
@@ -136,7 +134,8 @@ def depth_net(lr_feat: Tensor, cam: CameraParams, params: DepthNetParams):
 
 def depth_ground_truth(pc, cam: CameraParams, bins: DepthBins, stride: int) -> DepthGroundTruth:
     """Project the cloud into one camera and bin the nearest depth per pixel."""
-    if stride < 1 or cam.height % stride or cam.width % stride:
+    require_int("depth_ground_truth", 1, stride=stride)
+    if cam.height % stride or cam.width % stride:
         raise DimensionError(
             f"depth_ground_truth: camera {cam.name}: image {cam.height}x{cam.width} is not "
             f"divisible by stride {stride}"

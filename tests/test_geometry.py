@@ -225,7 +225,7 @@ class TestCameraValidation:
 
     @pytest.mark.parametrize("field, value, message", [
         ("fx", float("nan"), "fx, fy, cx and cy must be finite"),
-        ("width", 0, "image size must be at least 1x1, got 0x16"),
+        ("width", 0, "CameraParams: width must be >= 1, got 0"),
         ("translation", np.array([np.inf, 0.0, 0.0]), "translation must be finite"),
     ], ids=["fx-nan", "width-0", "translation-inf"])
     def test_rejects_a_bad_field(self, field, value, message):

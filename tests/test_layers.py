@@ -40,8 +40,8 @@ def conv_case(k, stride, pad, shape, seed=0):
     return Tensor(rng.normal(size=shape)), p, rng
 
 
-def weighted_sum(y: Tensor, r: np.ndarray) -> Tensor:
-    return nm.sum(nm.mul(y, Tensor(r)))
+def weighted_mean(y: Tensor, r: np.ndarray) -> Tensor:
+    return nm.mean(nm.mul(y, Tensor(r)))
 
 
 def composed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -64,7 +64,7 @@ def composed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 def grads(conv, x, p, r):
     with Tape() as tape:
         y = conv(x, p)
-        backward(tape, weighted_sum(y, r))
+        backward(tape, weighted_mean(y, r))
     return y, [tape.grad(t).data for t in (x, p.lin.weight, p.lin.bias)]
 
 
@@ -87,10 +87,10 @@ class TestConv2d:
         def with_lin(weight, bias):
             return Conv2dParams(LinearParams(weight, bias), k, stride, pad)
 
-        assert finite_diff_check(lambda t: weighted_sum(conv2d(t, p), r), x) < 1e-6
+        assert finite_diff_check(lambda t: weighted_mean(conv2d(t, p), r), x) < 1e-6
         w, b = p.lin.weight, p.lin.bias
-        assert finite_diff_check(lambda t: weighted_sum(conv2d(x, with_lin(t, b)), r), w) < 1e-6
-        assert finite_diff_check(lambda t: weighted_sum(conv2d(x, with_lin(w, t)), r), b) < 1e-6
+        assert finite_diff_check(lambda t: weighted_mean(conv2d(x, with_lin(t, b)), r), w) < 1e-6
+        assert finite_diff_check(lambda t: weighted_mean(conv2d(x, with_lin(w, t)), r), b) < 1e-6
 
     def test_matches_scatter_gather_linear_to_rounding(self, k, stride, pad, shape):
         # The forward and the weight gradient sum one kernel row at a time, and the
@@ -119,7 +119,7 @@ class TestConv2d:
         with Tape() as tape:
             y = conv2d(x.data, p)
             (node,) = tape.nodes
-            backward(tape, weighted_sum(y, r))
+            backward(tape, weighted_mean(y, r))
         assert node.op == "conv2d" and node.input_ids == (p.lin.weight.id, p.lin.bias.id)
         assert len(node.vjp(r)) == 2
         assert np.array_equal(y.data, y_ref.data)
@@ -142,26 +142,28 @@ class TestConv2d:
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("k,stride,pad", CASES + [(3, 2, 2), (3, 1, 4)])
 def test_input_gradient_is_the_oracle_adjoint(k, stride, pad, shape):
-    """<conv(x), r> = <x, gx> for the bias-free conv, which is linear in x. At kernel 3,
-    pad 2 is the widest pad whose border windows all touch the input; at pad 4 some
-    windows see only zero padding."""
+    """<conv(x), r> = <x, gx> |r| for the bias-free conv, which is linear in x; gx is the
+    gradient of mean(conv(x) * r) over its |r| entries. At kernel 3, pad 2 is the widest
+    pad whose border windows all touch the input; at pad 4 some windows see only zero
+    padding."""
     x, p, rng = conv_case(k, stride, pad, shape)
     r = rng.normal(size=conv2d(x, p).shape)
     _, (gx, _, _) = grads(conv2d, x, p, r)
     y = oracles.conv2d_oracle(x.data, p.lin.weight.data, np.zeros(4), k, stride, pad)
-    assert abs(np.vdot(x.data, gx) - np.vdot(y, r)) <= 1e-12 * abs(np.vdot(y, r))
+    assert abs(np.vdot(x.data, gx) * r.size - np.vdot(y, r)) <= 1e-12 * abs(np.vdot(y, r))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("k,stride,pad", CASES + [(3, 2, 2), (3, 1, 4)])
 def test_weight_gradient_is_the_oracle_adjoint(k, stride, pad, shape):
-    """<gw, V> = <conv_V(x), r> for any weight V: the bias-free conv is linear in its weight."""
+    """<gw, V> |r| = <conv_V(x), r> for any weight V: the bias-free conv is linear in its
+    weight."""
     x, p, rng = conv_case(k, stride, pad, shape)
     r = rng.normal(size=conv2d(x, p).shape)
     _, (_, gw, _) = grads(conv2d, x, p, r)
     v = rng.normal(size=gw.shape)
     y = oracles.conv2d_oracle(x.data, v, np.zeros(4), k, stride, pad)
-    assert abs(np.vdot(gw, v) - np.vdot(y, r)) <= 1e-12 * abs(np.vdot(y, r))
+    assert abs(np.vdot(gw, v) * r.size - np.vdot(y, r)) <= 1e-12 * abs(np.vdot(y, r))
 
 
 @pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (2, 1, 1), (2, 3, 1), (4, 3, 2), (3, 4, 0)])
@@ -306,7 +308,7 @@ class TestConvBlockAt:
         found = []
         for block in (conv_block_at, dense_block_at):
             with Tape() as tape:
-                backward(tape, weighted_sum(block(x, conv1, conv2, cells), r))
+                backward(tape, weighted_mean(block(x, conv1, conv2, cells), r))
             found.append([tape.grad(t).data for t in leaves])
         for got, want in zip(*found):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -389,8 +391,9 @@ class TestSegmentSum:
         g = spread(rng, (len(self.IDX), 2, 3))
         with Tape() as tape:
             y = nm.gather_rows(x, self.IDX)
-            backward(tape, nm.sum(nm.mul(y, Tensor(g))))
-        assert np.array_equal(tape.grad(x).data, self.loop_sum(g, 6))
+            backward(tape, nm.mean(nm.mul(y, Tensor(g))))
+        # The mean hands each row g / |g|, as g times the rounded 1 / |g|.
+        assert np.array_equal(tape.grad(x).data, self.loop_sum(g * (1.0 / g.size), 6))
 
     def test_gather_rows_with_a_grid_index(self):
         """A [2, 5] index gives [2, 5, ...] rows; the VJP sums them back in the order of
@@ -401,10 +404,11 @@ class TestSegmentSum:
         g = spread(rng, (2, 5, 3))
         with Tape() as tape:
             y = nm.gather_rows(x, grid)
-            backward(tape, nm.sum(nm.mul(y, Tensor(g))))
+            backward(tape, nm.mean(nm.mul(y, Tensor(g))))
         assert y.shape == (2, 5, 3)
         assert np.array_equal(y.data, x.data[grid])
-        assert np.array_equal(tape.grad(x).data, self.loop_sum(g.reshape(10, 3), 6))
+        rows = g.reshape(10, 3) * (1.0 / g.size)
+        assert np.array_equal(tape.grad(x).data, self.loop_sum(rows, 6))
 
     def test_empty_index_gives_float_zeros(self):
         empty = np.zeros(0, dtype=np.int64)

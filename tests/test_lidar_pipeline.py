@@ -349,7 +349,7 @@ def dense_sweep(seed):
 def test_bev_and_gradients_match_the_dense_oracle(seed, cfg, scan):
     """The pillar path against a dense middle, on the training and the dense LiDAR
     sweeps: the BEV within 1e-12 of its largest |entry|, and the six parameter gradients
-    of sum(bev * g) within 1e-12 of the largest gradient entry."""
+    of mean(bev * g) within 1e-12 of the largest gradient entry."""
     rng = np.random.default_rng(seed)
     vg = lp.voxelize(scan(seed), cfg)
     c_l = 16
@@ -358,9 +358,9 @@ def test_bev_and_gradients_match_the_dense_oracle(seed, cfg, scan):
     g = rng.normal(size=cfg.counts[:2] + (c_l,))
     with nm.Tape() as tape:
         bev = lp.compress_z(lp.encode_voxels(vg, p), proj)
-        nm.backward(tape, nm.sum(nm.mul(bev, g)))
+        nm.backward(tape, nm.mean(nm.mul(bev, g)))
     expected, expected_grads = oracles.dense_lidar_bev_oracle(
-        vg.occupied, vg.means, cfg.counts, weights(p, proj), g
+        vg.occupied, vg.means, cfg.counts, weights(p, proj), g / g.size
     )
     assert np.abs(bev.data - expected).max() <= 1e-12 * np.abs(expected).max()
     params = [t for lin in (p.hidden, p.out, proj) for t in (lin.weight, lin.bias)]
@@ -385,7 +385,7 @@ def test_lidar_branch_peak_memory_at_dense_scale():
             forward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        loss = nm.sum(nm.mul(bev, g))
+        loss = nm.mean(nm.mul(bev, g))
         tracemalloc.start()
         try:
             nm.backward(tape, loss)
@@ -407,7 +407,7 @@ def test_gradients_flow_to_encoder_params():
     proj = linear_init(rng, 4, 8 * 6)
     with nm.Tape() as tape:
         bev = lp.compress_z(lp.encode_voxels(vg, p), proj)
-        loss = nm.sum(nm.mul(bev, bev))
+        loss = nm.mean(nm.mul(bev, bev))
         nm.backward(tape, loss)
     for t in (p.hidden.weight, p.out.weight, proj.weight):
         assert np.any(tape.grad(t).data != 0.0)

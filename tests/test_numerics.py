@@ -75,11 +75,11 @@ class TestLinear:
         r = rng.normal(size=(2, 3, 5))
         with Tape() as ref:
             y_ref = nm.linear(tensor(x), p)
-            backward(ref, nm.sum(nm.mul(y_ref, r)))
+            backward(ref, nm.mean(nm.mul(y_ref, r)))
         with Tape() as tape:
             y = nm.linear(x, p)
             (node,) = tape.nodes
-            backward(tape, nm.sum(nm.mul(y, r)))
+            backward(tape, nm.mean(nm.mul(y, r)))
         assert node.op == "linear" and node.input_ids == (p.weight.id, p.bias.id)
         assert len(node.vjp(r)) == 2
         assert np.array_equal(y.data, y_ref.data)
@@ -116,7 +116,7 @@ class TestBackward:
     def test_sigmoid_analytic(self):
         x = tensor([0.0])
         with Tape() as tape:
-            loss = nm.sum(nm.sigmoid(x))
+            loss = nm.mean(nm.sigmoid(x))
             backward(tape, loss)
         np.testing.assert_allclose(tape.grad(x).data, [0.25], atol=1e-15)
 
@@ -125,9 +125,9 @@ class TestBackward:
         w = tensor(rng.normal(size=(3, 4)))
         x = tensor(rng.normal(size=4))
         with Tape() as tape:
-            loss = nm.sum(nm.linear(x, LinearParams(w, tensor(np.zeros(3)))))
+            loss = nm.mean(nm.linear(x, LinearParams(w, tensor(np.zeros(3)))))
             backward(tape, loss)
-        expected = np.outer(np.ones(3), x.data)
+        expected = np.outer(np.ones(3), x.data) / 3.0
         np.testing.assert_allclose(tape.grad(w).data, expected, atol=1e-12)
 
     def test_composed_graph_matches_finite_diff(self):
@@ -135,7 +135,7 @@ class TestBackward:
             p = LinearParams(tensor([[0.3, -0.7, 0.2], [0.5, 0.1, -0.4]]), tensor([0.1, -0.2]))
             h = nm.relu(nm.linear(x, p))
             s = nm.softmax(nm.concat([h, nm.mul(h, 0.5)], axis=0), axis=0)
-            return nm.sum(nm.mul(s, s))
+            return nm.mean(nm.mul(s, s))
 
         rng = np.random.default_rng(3)
         err = finite_diff_check(f, tensor(rng.normal(size=3) + 0.5))
@@ -144,7 +144,7 @@ class TestBackward:
     def test_backward_twice_bit_identical(self):
         x = tensor([0.3, -0.4, 1.2])
         with Tape() as tape:
-            loss = nm.sum(nm.mul(nm.sigmoid(x), x))
+            loss = nm.mean(nm.mul(nm.sigmoid(x), x))
             g1 = backward(tape, loss)
             first = {k: v.data.copy() for k, v in g1.items()}
             g2 = backward(tape, loss)
@@ -162,7 +162,7 @@ class TestBackward:
         x = tensor([1.0])
         y = tensor([2.0])
         with Tape() as tape:
-            loss = nm.sum(nm.mul(x, 3.0))
+            loss = nm.mean(nm.mul(x, 3.0))
             backward(tape, loss)
         np.testing.assert_array_equal(tape.grad(y).data, [0.0])
 
@@ -203,10 +203,10 @@ class TestLeafGradients:
         x = tensor([1.0, 2.0])
         with Tape() as tape:
             y = nm.mul(x, 3.0)
-            backward(tape, nm.sum(y))
+            backward(tape, nm.mean(y))
         with pytest.raises(ValueError, match="produced on this tape"):
             tape.grad(y)
-        np.testing.assert_array_equal(tape.grad(x).data, [3.0, 3.0])
+        np.testing.assert_array_equal(tape.grad(x).data, [1.5, 1.5])
 
     def test_non_finite_intermediate_gradient_names_op_and_node(self):
         # Forward 1e-300 -> 1 -> 1e300; backward 1 -> 1e300 -> inf into node 0's output.
@@ -228,7 +228,7 @@ class TestLeafGradients:
 
 class TestFiniteDiff:
     def test_square(self):
-        err = finite_diff_check(lambda x: nm.sum(nm.mul(x, x)), tensor([3.0]))
+        err = finite_diff_check(lambda x: nm.mean(nm.mul(x, x)), tensor([3.0]))
         assert err < 1e-8
 
     def test_bce_of_sigmoid_hand_value(self):
@@ -243,28 +243,27 @@ class TestFiniteDiff:
         assert finite_diff_check(f, x) < 1e-6
 
     def test_constant_function(self):
-        err = finite_diff_check(lambda x: nm.sum(nm.mul(x, 0.0)), tensor([1.0, 2.0]))
+        err = finite_diff_check(lambda x: nm.mean(nm.mul(x, 0.0)), tensor([1.0, 2.0]))
         assert err == 0.0
 
 
 OPS_FOR_GRAD_CHECK = [
-    ("add", lambda x: nm.sum(nm.add(x, x))),
-    ("mul", lambda x: nm.sum(nm.mul(x, x))),
-    ("linear", lambda x: nm.sum(
+    ("add", lambda x: nm.mean(nm.add(x, x))),
+    ("mul", lambda x: nm.mean(nm.mul(x, x))),
+    ("linear", lambda x: nm.mean(
         nm.linear(x, LinearParams(tensor([[0.5, -1.0, 2.0, 0.3]]), tensor([0.1])))
     )),
-    ("matmul", lambda x: nm.sum(nm.matmul(nm.reshape(x, (2, 2)), nm.reshape(x, (2, 2))))),
-    ("concat", lambda x: nm.sum(nm.mul(nm.concat([x, x], axis=0), 0.5))),
-    ("gather", lambda x: nm.sum(nm.gather_rows(nm.reshape(x, (4, 1)), np.array([0, 2, 2])))),
-    ("scatter", lambda x: nm.sum(
+    ("matmul", lambda x: nm.mean(nm.matmul(nm.reshape(x, (2, 2)), nm.reshape(x, (2, 2))))),
+    ("concat", lambda x: nm.mean(nm.mul(nm.concat([x, x], axis=0), 0.5))),
+    ("gather", lambda x: nm.mean(nm.gather_rows(nm.reshape(x, (4, 1)), np.array([0, 2, 2])))),
+    ("scatter", lambda x: nm.mean(
         nm.scatter_add(nm.reshape(x, (4, 1)), np.array([0, 1, 1, 2]), 3)
     )),
-    ("softmax", lambda x: nm.sum(nm.mul(nm.softmax(x, axis=0), tensor([1.0, -2.0, 0.5, 3.0])))),
-    ("sigmoid", lambda x: nm.sum(nm.sigmoid(x))),
-    ("relu", lambda x: nm.sum(nm.relu(x))),
-    ("sum_axis", lambda x: nm.sum(nm.mul(nm.sum(nm.reshape(x, (2, 2)), axis=1), 2.0))),
+    ("softmax", lambda x: nm.mean(nm.mul(nm.softmax(x, axis=0), tensor([1.0, -2.0, 0.5, 3.0])))),
+    ("sigmoid", lambda x: nm.mean(nm.sigmoid(x))),
+    ("relu", lambda x: nm.mean(nm.relu(x))),
     ("mean", lambda x: nm.mean(nm.mul(x, x))),
-    ("permute", lambda x: nm.sum(nm.mul(nm.permute(nm.reshape(x, (2, 2)), (1, 0)), tensor([[1.0, 2.0], [3.0, 4.0]])))),
+    ("permute", lambda x: nm.mean(nm.mul(nm.permute(nm.reshape(x, (2, 2)), (1, 0)), tensor([[1.0, 2.0], [3.0, 4.0]])))),
 ]
 
 
@@ -328,9 +327,9 @@ class TestUnscannedOps:
     def test_leaf_gradients_are_read_only(self):
         x = tensor([1.0, -2.0])
         with Tape() as tape:
-            backward(tape, nm.sum(nm.mul(x, x)))
+            backward(tape, nm.mean(nm.mul(x, x)))
         g = tape.grad(x)
-        assert np.array_equal(g.data, [2.0, -4.0]) and not g.data.flags.writeable
+        assert np.array_equal(g.data, [1.0, -2.0]) and not g.data.flags.writeable
 
 class TestNanNamesOp:
     def test_outside_tape(self):
@@ -353,11 +352,11 @@ CONSTANT_OPS = [("add", nm.add), ("sub", nm.sub), ("mul", nm.mul)]
 
 
 def _value_and_grad(op, a, other):
-    """op(a, other) and d sum(op(a, other) * w) / d a on a fresh tape."""
+    """op(a, other) and d mean(op(a, other) * w) / d a on a fresh tape."""
     w = np.linspace(-1.5, 2.0, a.size).reshape(a.shape)
     with Tape() as tape:
         out = op(a, other)
-        backward(tape, nm.sum(nm.mul(out, w)))
+        backward(tape, nm.mean(nm.mul(out, w)))
     return out.data, tape.grad(a).data
 
 
@@ -451,11 +450,11 @@ def test_backward_skips_a_branch_that_misses_the_loss():
     x, spare = tensor([1.0, -2.0]), tensor([3.0, 4.0])
     with Tape() as tape:
         nm.relu(nm.add(x, spare))  # computed, never used by the loss
-        loss = nm.sum(nm.mul(x, x))
+        loss = nm.mean(nm.mul(x, x))
     (dead,) = [node for node in tape.nodes if node.op == "relu"]
     calls = []
     dead.vjp = lambda g: calls.append(g)
     backward(tape, loss)
     assert calls == []
     np.testing.assert_array_equal(tape.grad(spare).data, [0.0, 0.0])
-    np.testing.assert_array_equal(tape.grad(x).data, [2.0, -4.0])
+    np.testing.assert_array_equal(tape.grad(x).data, [1.0, -2.0])

@@ -19,11 +19,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Public names no production path reaches yet, each kept for the client named beside it.
 NOT_YET_REACHED = {
-    "evaluate",  # ROADMAP items 12 and 16: training and the eval set score with it
-    "decode_detections",  # ROADMAP items 12 and 16: the evaluator's rows from the heads
-    "from_object_box",  # ROADMAP items 12 and 16: the evaluator's ground-truth rows
-    "full_scale_bev_config",  # ROADMAP item 5: full scale runs or is rejected up front
-    "full_scale_voxel_config",  # ROADMAP item 5
+    "metrics.evaluate",  # ROADMAP items 12 and 16: training and the eval set score with it
+    "predictor.decode_detections",  # ROADMAP items 12 and 16: the evaluator's rows from the heads
+    "metrics.BoxRecord.from_object_box",  # ROADMAP items 12 and 16: the ground-truth rows
+    "geometry.full_scale_bev_config",  # ROADMAP item 5: full scale runs or is rejected up front
+    "lidar_pipeline.full_scale_voxel_config",  # ROADMAP item 5
 }
 
 
@@ -210,22 +210,32 @@ def test_no_two_params_dataclasses_share_a_field_list():
     assert shared == {}
 
 
-def _references(*nodes):
-    """Every name the nodes' code mentions, as a bare name or as an attribute."""
-    return {
-        getattr(sub, "id", getattr(sub, "attr", None))
-        for node in nodes for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))
-    }
+def _imports(tree):
+    """{bound name: what it binds} for a module's bevkit imports, relative or absolute: a
+    bevkit module's name for a module alias (nm for numerics), (module, name) for a name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif (node.module or "").split(".")[0] == "bevkit":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (parts[0], alias.name) if parts else alias.name
+    return bound
 
 
 def _definitions(tree):
     """(name, nodes) of each module-level def, class and assignment target, and of each
-    public method and property of a class: a class's own nodes leave those members out."""
+    public method and property of a class, named Class.member: a class's own nodes leave
+    those members out."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             members = [sub for sub in node.body
                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
-            yield from ((member.name, [member]) for member in members)
+            yield from ((f"{node.name}.{member.name}", [member]) for member in members)
             rest = [sub for sub in node.body if sub not in members]
             yield node.name, rest + node.bases + node.decorator_list
         elif isinstance(node, ast.FunctionDef):
@@ -238,33 +248,105 @@ def _definitions(tree):
                         yield sub.id, [node]
 
 
+def _reference_graph(package, roots):
+    """({"module.name": the definitions its nodes reference}, the definitions the roots
+    reference) for package, {module: source}, and roots, a list of sources. A bare name
+    resolves to its module's own definition or to its bevkit from-import, followed through
+    re-exports; alias.attr on a bevkit module alias to that module's attr; any other
+    attribute to every public method and property of that name. Builtins and locals
+    resolve to nothing."""
+    root_names = [f"<root {i}>" for i in range(len(roots))]
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    trees.update(zip(root_names, map(ast.parse, roots)))
+    imports = {module: _imports(tree) for module, tree in trees.items()}
+    nodes = {
+        (module, name): defined
+        for module in package for name, defined in _definitions(trees[module])
+    }
+    members = {}
+    for module, name in nodes:
+        if "." in name:
+            members.setdefault(name.split(".")[1], set()).add((module, name))
+
+    def resolve(module, name):
+        while (module, name) not in nodes:
+            target = imports.get(module, {}).get(name)
+            if not isinstance(target, tuple):
+                return None
+            module, name = target
+        return module, name
+
+    def references(module, *defined):
+        found = set()
+        for sub in (sub for node in defined for sub in ast.walk(node)):
+            if isinstance(sub, ast.Name):
+                found.add(resolve(module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                alias = imports[module].get(getattr(sub.value, "id", None))
+                if isinstance(alias, str):
+                    found.add(resolve(alias, sub.attr))
+                else:
+                    found |= members.get(sub.attr, set())
+        return {".".join(key) for key in found - {None}}
+
+    refs = {".".join(key): references(key[0], *defined) for key, defined in nodes.items()}
+    return refs, set().union(*(references(name, trees[name]) for name in root_names))
+
+
+def _reach(refs, frontier):
+    """Every definition the frontier's definitions reach, themselves included."""
+    found = set()
+    while frontier:
+        new = frontier - found
+        found |= new
+        frontier = set().union(*(refs[name] for name in new))
+    return found
+
+
+TOY_PACKAGE = {
+    "numerics": "def sum(x):\n    return x\n\n\ndef item(x):\n    return x.value\n\n\n"
+                "class Tensor:\n    @property\n    def value(self):\n        return 0\n",
+    "layers": "from .numerics import sum\n",
+}
+RESOLVER_CASES = {
+    "array_method": ("from bevkit import numerics as nm\nnm.item(x.sum())",
+                     {"numerics.item", "numerics.Tensor.value"}),
+    "builtin": ("sum([1, 2])", set()),
+    "local": ("def f(sum):\n    return sum(1)", set()),
+    "module_alias": ("from bevkit import numerics as nm\nnm.sum(x)", {"numerics.sum"}),
+    "from_import": ("from bevkit.numerics import sum\nsum(x)", {"numerics.sum"}),
+    "relative_from_import": ("from .numerics import sum as total\ntotal(x)", {"numerics.sum"}),
+    "re_export": ("from bevkit import layers as ly\nly.sum(x)", {"numerics.sum"}),
+    "method_by_name": ("anything.value", {"numerics.Tensor.value"}),
+}
+
+
+@pytest.mark.parametrize("root, expected", RESOLVER_CASES.values(), ids=RESOLVER_CASES.keys())
+def test_the_reference_walk_resolves_names(root, expected):
+    """numerics.sum is reached only through a module alias or an import of it, never by an
+    array's .sum or the builtin; a method reached only as an attribute is live by name."""
+    refs, root_refs = _reference_graph(TOY_PACKAGE, [root])
+    assert _reach(refs, root_refs) == expected
+
+
 def test_every_public_name_is_on_a_production_path():
     """The benchmark's pipeline is the production path. A definition is live if a benchmark
     module or a live definition references it, and names only an allow-listed definition
     uses are kept with it. A public method or property is its own definition, live when
     its name is referenced so; a class keeps only its fields and private members alive. A
-    public name neither live nor kept has no caller but tests; an allow-listed name that
-    has become live leaves the list."""
-    refs = {}
-    for path in sorted(Path(bevkit.__file__).parent.glob("*.py")):
-        if path.name not in ("oracles.py", "__init__.py"):
-            for name, nodes in _definitions(ast.parse(path.read_text())):
-                refs.setdefault(name, set()).update(_references(*nodes))
-
-    def reach(frontier):
-        found = set()
-        while frontier:
-            new = (frontier & refs.keys()) - found
-            found |= new
-            frontier = set().union(*(refs[name] for name in new))
-        return found
-
+    name neither live nor kept has no caller but tests; an allow-listed name that has
+    become live leaves the list."""
+    package = {
+        path.stem: path.read_text() for path in sorted(Path(bevkit.__file__).parent.glob("*.py"))
+        if path.name not in ("oracles.py", "__init__.py")
+    }
     bench = [path for path in sorted(PERFBENCH.glob("*.py")) if not path.name.startswith("test_")]
     assert bench, f"no benchmark modules under {PERFBENCH}"
-    live = reach(set().union(*(_references(ast.parse(path.read_text())) for path in bench)))
-    kept = reach(live | NOT_YET_REACHED)
-    orphans = sorted(name for name in refs.keys() - kept if not name.startswith("_"))
-    assert orphans == [], f"public names with no production caller: {orphans}"
+    refs, root_refs = _reference_graph(package, [path.read_text() for path in bench])
+    live = _reach(refs, root_refs)
+    kept = _reach(refs, live | NOT_YET_REACHED)
+    orphans = sorted(refs.keys() - kept)
+    assert orphans == [], f"names with no production caller: {orphans}"
     reached = sorted(NOT_YET_REACHED & live)
     assert reached == [], f"now on a production path, take off NOT_YET_REACHED: {reached}"
     assert NOT_YET_REACHED <= refs.keys()

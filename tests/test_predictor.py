@@ -395,7 +395,7 @@ class TestFuser:
                 out=heads["out"],
             )
             q = pr.task_specific_fuse(f_g, Tensor(f_s_val), p)
-            return nm.sum(nm.mul(q, q))
+            return nm.mean(nm.mul(q, q))
 
         err = nm.finite_diff_check(f, Tensor(heads["gamma_s"].weight.data.ravel()))
         assert err < 1e-4

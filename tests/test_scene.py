@@ -55,6 +55,14 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match=expected):
             sc.generate_scene(3, DESK, class_count=class_count, seed=1)
 
+    def test_negative_seed_rejected_by_name_before_any_draw(self, monkeypatch):
+        """numpy would reject seed -1 inside default_rng, with a message naming no field."""
+        monkeypatch.setattr(np.random, "default_rng", lambda *_: pytest.fail("drew first"))
+        with pytest.raises(ValueError, match="^Scene: seed must be >= 0, got -1$"):
+            Scene(boxes=(), seed=-1, class_count=3)
+        with pytest.raises(ValueError, match="^Scene: seed must be >= 0, got -1$"):
+            sc.generate_scene(3, DESK, seed=-1)
+
     @pytest.mark.parametrize("field", ["seed", "class_count"])
     @pytest.mark.parametrize("value", [2.5, np.float64(3), "2"])
     def test_scene_with_a_non_integer_field_rejected(self, field, value):
@@ -305,6 +313,15 @@ def ground_camera(width=32, height=32):
 
 
 class TestRenderCamera:
+    @pytest.mark.parametrize("channels, message", [
+        (2.0, "must be an integer, not float"), (True, "must be an integer, not bool"),
+        (0, "must be >= 1, got 0"),
+    ])
+    def test_channels_must_be_a_positive_integer(self, channels, message):
+        """2.0 and True used to fail inside numpy with an untyped TypeError."""
+        with pytest.raises(ValueError, match=f"^render_camera: channels {message}$"):
+            sc.render_camera(Scene(boxes=(), seed=0), ground_camera(), channels)
+
     def test_ground_depth_matches_analytic_plane(self):
         scene = Scene(boxes=(), seed=0)
         cam = ground_camera()
@@ -789,7 +806,7 @@ class TestLidarScanInput:
             sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], count, [-0.2])
 
     def test_negative_azimuth_count_rejected(self):
-        with pytest.raises(ValueError, match="azimuth_count must be a positive integer, got -3"):
+        with pytest.raises(ValueError, match="lidar_scan: azimuth_count must be >= 1, got -3"):
             sc.lidar_scan(self.SCENE, [0.0, 0.0, 1.6], -3, [-0.2])
 
     def test_nan_elevation_rejected(self):

@@ -59,12 +59,12 @@ class TestCameraEncode:
         img = rng.normal(size=(8, 8, 4))
         with Tape() as tape:
             out = vt.camera_encode(img, p)
-            backward(tape, nm.sum(out))
+            backward(tape, nm.mean(out))
         params = (p.conv1.lin.weight, p.conv1.lin.bias, p.conv2.lin.weight, p.conv2.lin.bias)
         assert tape.nodes[0].input_ids == (params[0].id, params[1].id)
         assert set(tape.gradients) == {t.id for t in params}
         with Tape() as ref:
-            backward(ref, nm.sum(vt.camera_encode(Tensor(img), p)))
+            backward(ref, nm.mean(vt.camera_encode(Tensor(img), p)))
         for t in params:
             assert np.array_equal(tape.grad(t).data, ref.grad(t).data)
 
@@ -195,6 +195,16 @@ class TestDepthGroundTruth:
         pc = sc.PointCloud(np.array([[7.6 * 2.5 / 8, -7.0 * 2.5 / 8, 2.5, 1.0, 0.0]]))
         with pytest.raises(nm.DimensionError, match="front.*16x16.*stride 3"):
             vt.depth_ground_truth(pc, cam, BINS, stride=3)
+
+
+@pytest.mark.parametrize("stride, message", [
+    (2.0, "must be an integer, not float"), (True, "must be an integer, not bool"),
+    (0, "must be >= 1, got 0"),
+])
+def test_depth_ground_truth_rejects_a_stride_that_is_not_a_positive_integer(stride, message):
+    """2.0 used to fail inside numpy with an untyped TypeError, and True ran as stride 1."""
+    with pytest.raises(nm.DimensionError, match=f"^depth_ground_truth: stride {message}$"):
+        vt.depth_ground_truth(sc.PointCloud(np.zeros((0, 5))), make_camera(), BINS, stride)
 
 
 class TestDepthLoss:
@@ -527,8 +537,8 @@ class TestPointStream:
         weight = np.random.default_rng(18).normal(size=(16, 16, 2))
         with Tape() as tape:
             out = vt.point_stream(pc, [feat], [cam], BEV16)
-            backward(tape, nm.sum(nm.mul(out, weight)))
-        assert [node.op for node in tape.nodes] == ["point_stream", "mul_const", "sum"]
+            backward(tape, nm.mean(nm.mul(out, weight)))
+        assert [node.op for node in tape.nodes] == ["point_stream", "mul_const", "mean"]
         assert out.shape == (16, 16, 2) and np.all(out.data == 0.0)
         assert np.all(tape.grad(feat).data == 0.0)
 
@@ -607,7 +617,7 @@ def test_ray_stream_gradients_flow():
     ctx_t, dist_t = Tensor(ctxs[0]), Tensor(dists[0])
     with Tape() as tape:
         out = vt.ray_stream([ctx_t], [dist_t], cams, BINS8, BEV16)
-        loss = nm.sum(nm.mul(out, out))
+        loss = nm.mean(nm.mul(out, out))
         backward(tape, loss)
     assert np.any(tape.grad(ctx_t).data != 0)
     assert np.any(tape.grad(dist_t).data != 0)
@@ -668,13 +678,13 @@ def chain_point_stream(pc, feats, cams, bev_cfg):
 
 
 def output_and_grads(stream, inputs, weight):
-    """stream(inputs)'s output, the gradient of sum(output * weight) per input, tape nodes."""
+    """stream(inputs)'s output, the gradient of mean(output * weight) per input, tape nodes."""
     with Tape() as tape:
         out = stream(inputs)
         if isinstance(out, tuple):
             out = out[0]
         nodes = len(tape.nodes)
-        backward(tape, nm.sum(nm.mul(out, Tensor(weight))))
+        backward(tape, nm.mean(nm.mul(out, Tensor(weight))))
     return out.data, [tape.grad(t).data for t in inputs], nodes
 
 
@@ -748,7 +758,7 @@ class TestRayStreamIsTheOpChain:
         def f(x):
             c = [x, ctx_ts[1]] if which == "context" else ctx_ts
             d = [x, dist_ts[1]] if which == "distribution" else dist_ts
-            return nm.sum(nm.mul(vt.ray_stream(c, d, cams, BINS8, BEV_CROPPED), weight))
+            return nm.mean(nm.mul(vt.ray_stream(c, d, cams, BINS8, BEV_CROPPED), weight))
 
         x = ctx_ts[0] if which == "context" else dist_ts[0]
         assert nm.finite_diff_check(f, x) < 1e-6
@@ -764,9 +774,10 @@ class TestRayStreamIsTheOpChain:
 
 
 def assert_adjoint(oracle_out, weight, inputs, grads):
-    """<B(ctx, dist), r> = <ctx, g_ctx> = <dist, g_dist>, summed over cameras: the ray
-    scatter B is linear in the contexts and in the distributions, each alone."""
-    forward = np.vdot(oracle_out, weight)
+    """<B(ctx, dist), r> / |r| = <ctx, g_ctx> = <dist, g_dist>, summed over cameras, for
+    the gradients of the mean of B * r: the ray scatter B is linear in the contexts and in
+    the distributions, each alone."""
+    forward = np.vdot(oracle_out, weight) / weight.size
     for part in (slice(0, None, 2), slice(1, None, 2)):
         back = sum(np.vdot(t.data, g) for t, g in zip(inputs[part], grads[part]))
         assert abs(back - forward) <= 1e-12 * abs(forward)
@@ -840,7 +851,7 @@ def test_ray_stream_holds_no_samples_by_channels_array():
             forward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        loss = nm.sum(nm.mul(out, Tensor(weight)))
+        loss = nm.mean(nm.mul(out, Tensor(weight)))
         tracemalloc.start()
         try:
             backward(tape, loss)
@@ -894,7 +905,7 @@ class TestPointStreamIsTheOpChain:
         weight = Tensor(rng.normal(size=(16, 16, 3)))
 
         def f(x):
-            return nm.sum(nm.mul(vt.point_stream(pc, [feats[0], x], cams, BEV16), weight))
+            return nm.mean(nm.mul(vt.point_stream(pc, [feats[0], x], cams, BEV16), weight))
 
         assert nm.finite_diff_check(f, feats[1]) < 1e-6
 
